@@ -6,7 +6,7 @@ layer.  It generates a Livermore loop 3 (inner product, DOACROSS) measured
 trace of ~1M events (``--quick``: ~100k), writes it in both trace formats,
 and times the two hot paths the columnar backend rewrites:
 
-* **load**: JSONL parse vs packed ``.rpt`` buffer read;
+* **load**: JSONL parse vs packed ``.rpt`` (v3) read;
 * **time-based analysis**: per-event Python loop (``backend="object"``)
   vs vectorized per-thread cumsum (``backend="columnar"``).
 

@@ -125,7 +125,6 @@ def bench_build(tmp: Path) -> dict:
         out = {
             "cold_build_secs": cold_secs,
             "warm_load_secs": warm_secs,
-            "loader": handle.loader,
             "key": handle.key,
         }
     finally:
@@ -135,7 +134,7 @@ def bench_build(tmp: Path) -> dict:
             os.environ[CACHE_ENV] = old
         native._reset_memo()
     print(f"build:    cold {out['cold_build_secs']:.3f}s  "
-          f"warm {out['warm_load_secs']:.3f}s  ({out['loader']})")
+          f"warm {out['warm_load_secs']:.3f}s")
     return out
 
 

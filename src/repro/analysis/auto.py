@@ -17,7 +17,6 @@ from repro.analysis.eventbased import event_based_approximation
 from repro.analysis.timebased import time_based_approximation
 from repro.instrument.costs import AnalysisConstants
 from repro.obs import core as obs
-from repro.trace import columnar as _columnar
 from repro.trace.columnar import kind_code_mask
 from repro.trace.events import SYNC_KINDS, EventKind
 from repro.trace.trace import Trace
@@ -45,7 +44,7 @@ def _has_sync_identity(trace: Trace) -> bool:
     kind-mask over ``columns.kind`` instead of materializing every event
     object just to look at its kind.
     """
-    if _columnar.HAVE_NUMPY and trace.has_columns:
+    if trace.has_columns:
         return bool(
             kind_code_mask(
                 trace.columns.kind, *SYNC_KINDS, EventKind.LOOP_BEGIN
@@ -58,7 +57,7 @@ def _has_sync_identity(trace: Trace) -> bool:
 
 
 def _looks_parallel(trace: Trace) -> bool:
-    if _columnar.HAVE_NUMPY and trace.has_columns:
+    if trace.has_columns:
         thread = trace.columns.thread
         return bool(len(thread)) and bool((thread != thread[0]).any())
     return len(trace.threads) > 1

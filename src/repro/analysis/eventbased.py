@@ -50,7 +50,6 @@ from repro.resilience.repair import (
     repair_trace,
 )
 from repro.resilience.validate import Diagnostic, validate_trace
-from repro.trace import columnar as _columnar
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import Trace
 
@@ -61,18 +60,16 @@ BACKENDS = ("auto", "native", "columnar", "object")
 
 def pick_backend() -> str:
     """The backend ``"auto"`` resolves to right now: native when the
-    compiled kernel can be built/loaded, else columnar when numpy is
-    importable, else the object worklist."""
-    if _columnar.HAVE_NUMPY:
-        from repro import native
+    compiled kernel can be built/loaded, else columnar.  The object
+    worklist is the reference oracle, used only when asked for."""
+    from repro import native
 
-        if native.native_available():
-            return "native"
-        # Compiler-less host or REPRO_NATIVE=0: the interpreted
-        # columnar path carries the load.
-        obs.count("analysis.backend.native_fallback")
-        return "columnar"
-    return "object"
+    if native.native_available():
+        return "native"
+    # Compiler-less host or REPRO_NATIVE=0: the interpreted columnar
+    # path carries the load.
+    obs.count("analysis.backend.native_fallback")
+    return "columnar"
 
 
 #: Backend used when the caller does not pass one (see configure_backend).
@@ -382,9 +379,9 @@ def event_based_approximation(
     ``"columnar"`` resolves over ``measured.columns`` — vectorized
     per-thread prefix sums with a scalar worklist visiting only
     synchronization events (:mod:`repro.analysis.eventbased_columnar`);
-    ``"object"`` runs the per-event reference worklist; ``"auto"``
-    (default) picks the fastest available: native, then columnar, then
-    object.  All backends produce identical results — and identical
+    ``"object"`` runs the per-event reference worklist (the oracle the
+    other two are checked against); ``"auto"`` (default) picks native
+    when the kernel is available, else columnar.  All backends produce identical results — and identical
     failures, so the degradation policies quarantine the same threads
     (property-tested).  Omitting ``backend`` uses the process-wide
     default (``"auto"`` unless :func:`configure_backend` changed it).

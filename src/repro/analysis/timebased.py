@@ -45,9 +45,9 @@ STREAMING_AUTO_THRESHOLD = 1 << 20
 def _per_event_times(measured: Trace, costs: InstrumentationCosts) -> dict[int, int]:
     """Reference implementation: per-event Python loop over thread views.
 
-    Kept as the numpy-free fallback and as the baseline the columnar
-    benchmark (``benchmarks/bench_columnar.py``) compares against; the
-    vectorized path must reproduce it value-for-value.
+    The reference oracle for the columnar and streaming backends (and
+    the baseline ``benchmarks/bench_columnar.py`` compares against); the
+    vectorized paths must reproduce it value-for-value.
     """
     times: dict[int, int] = {}
     for view in measured.by_thread().values():
@@ -156,11 +156,10 @@ def time_based_approximation(
     ``measured.columns``; ``"streaming"`` runs the same cumsum
     chunk-by-chunk with per-thread carry state (bounded working set, the
     arithmetic behind :func:`repro.trace.stream.stream_time_based`);
-    ``"object"`` runs the per-event reference loop; ``"auto"`` (default)
-    picks columnar whenever numpy is available, switching to streaming
-    above :data:`STREAMING_AUTO_THRESHOLD` events.  All backends produce
-    identical results (property- and audit-tested); the knob exists for
-    the regression benchmark and numpy-free environments.
+    ``"object"`` runs the per-event reference oracle; ``"auto"`` (default)
+    picks columnar, switching to streaming above
+    :data:`STREAMING_AUTO_THRESHOLD` events.  All backends produce
+    identical results (property- and audit-tested).
     """
     check_policy(policy)
     if backend not in BACKENDS:
@@ -180,12 +179,10 @@ def time_based_approximation(
             "trace is not a measured (instrumented) trace; nothing to remove"
         )
     if backend == "auto":
-        if not _columnar.HAVE_NUMPY:
-            backend = "object"
-        elif len(measured) > STREAMING_AUTO_THRESHOLD:
-            backend = "streaming"
-        else:
-            backend = "columnar"
+        backend = (
+            "streaming" if len(measured) > STREAMING_AUTO_THRESHOLD
+            else "columnar"
+        )
     with obs.span(
         "analysis.timebased", backend=backend, n_events=len(measured)
     ):

@@ -1,9 +1,8 @@
 """Differential oracle: cross-backend and cross-encoding parity checks.
 
 The repo maintains several implementations of each pipeline layer — two
-trace storage backends (event objects and numpy columns), three on-disk
-encodings (JSONL, flat packed ``.rpt`` v2, chunked compressed ``.rpt``
-v3), and object/columnar/streaming variants of the time-based and
+trace storage backends (event objects and numpy columns), two on-disk
+encodings (JSONL and chunked compressed ``.rpt`` v3), and object/columnar/streaming variants of the time-based and
 event-based analyses.  All pairs are supposed to be
 observationally identical; this module enforces that by running every pair
 on the same trace and reporting any field-level divergence as an
@@ -31,7 +30,6 @@ from repro.instrument import InstrumentationCosts, calibrate_analysis_constants
 from repro.instrument.plan import PLAN_FULL
 from repro.ir.fuzz import FuzzLimits, random_program
 from repro.machine.costs import FX80
-from repro.trace.columnar import HAVE_NUMPY
 from repro.trace.events import TraceEvent
 from repro.trace.io import read_trace, write_trace
 from repro.trace.stats import trace_stats
@@ -291,23 +289,22 @@ def _check_trace_structure(trace: Trace):
 
 
 #: name -> (check, requirement).  The requirement is ``None`` (always
-#: runnable), ``"numpy"`` or ``"native"``; checks whose requirement is not
+#: runnable) or ``"native"``; checks whose requirement is not
 #: met here are recorded as skipped, never silently dropped.  Every
 #: registered check runs on every audited trace; additions here are picked
 #: up by the CLI and CI for free.
 TRACE_CHECKS: dict[str, tuple[Callable[[Trace], Optional[tuple]], Optional[str]]] = {
-    "storage-normalization": (_check_storage_normalization, "numpy"),
+    "storage-normalization": (_check_storage_normalization, None),
     "roundtrip-jsonl": (lambda t: _check_roundtrip(t, "jsonl"), None),
-    "roundtrip-rpt": (lambda t: _check_roundtrip(t, "v2"), "numpy"),
-    "roundtrip-rpt3": (lambda t: _check_roundtrip(t, "v3"), "numpy"),
-    "encoding-chain": (_check_encoding_chain, "numpy"),
-    "timebased-backends": (_check_timebased_backends, "numpy"),
-    "timebased-streaming": (_check_timebased_streaming, "numpy"),
-    "timebased-streaming-file": (_check_streaming_file, "numpy"),
-    "eventbased-backends": (_check_eventbased_backends, "numpy"),
+    "roundtrip-rpt3": (lambda t: _check_roundtrip(t, "v3"), None),
+    "encoding-chain": (_check_encoding_chain, None),
+    "timebased-backends": (_check_timebased_backends, None),
+    "timebased-streaming": (_check_timebased_streaming, None),
+    "timebased-streaming-file": (_check_streaming_file, None),
+    "eventbased-backends": (_check_eventbased_backends, None),
     "eventbased-native-columnar": (_check_eventbased_native("columnar"), "native"),
     "eventbased-native-object": (_check_eventbased_native("object"), "native"),
-    "stats-backends": (_check_stats_backends, "numpy"),
+    "stats-backends": (_check_stats_backends, None),
     "trace-structure": (_check_trace_structure, None),
 }
 
@@ -315,11 +312,7 @@ TRACE_CHECKS: dict[str, tuple[Callable[[Trace], Optional[tuple]], Optional[str]]
 def _requirement_met(requirement: Optional[str]) -> bool:
     if requirement is None:
         return True
-    if requirement == "numpy":
-        return HAVE_NUMPY
     if requirement == "native":
-        if not HAVE_NUMPY:
-            return False
         from repro import native
 
         return native.native_available()

@@ -59,8 +59,9 @@ class AuditReport:
     findings: list[AuditFinding] = field(default_factory=list)
     programs_checked: int = 0
     checks_run: int = 0
-    #: Checks that could not run in this environment (e.g. the columnar
-    #: comparisons without numpy) — disclosed, never silently skipped.
+    #: Checks that could not run in this environment (e.g. the native
+    #: comparisons without a C compiler) — disclosed, never silently
+    #: skipped.
     skipped: list[str] = field(default_factory=list)
 
     @property

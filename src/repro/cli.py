@@ -26,8 +26,7 @@ so ``--jobs`` and the artifact cache change wall-clock only — report text
 is byte-identical to a serial, cold run.
 
 Trace artifacts (e.g. the simulation cache) are stored in the chunked
-compressed ``.rpt`` v3 format; set ``REPRO_TRACE_FORMAT=v2``/``v3`` to
-pin the packed version other ``.rpt`` writes default to (see
+compressed ``.rpt`` v3 format, the only packed format written (see
 ``docs/FORMATS.md``).
 """
 

@@ -12,20 +12,16 @@ Public surface of the compiled sync-replay subsystem:
 * :func:`clear_native_cache` — drop every cached build.
 
 Availability is re-evaluated whenever the controlling environment changes
-(``REPRO_NATIVE``, ``REPRO_CC``, ``REPRO_NATIVE_LOADER``,
-``REPRO_NATIVE_CACHE_DIR``), so tests and operators can flip the escape
-hatch at runtime; a successfully loaded kernel is memoized per cache key.
+(``REPRO_NATIVE``, ``REPRO_CC``, ``REPRO_NATIVE_CACHE_DIR``), so tests and
+operators can flip the escape hatch at runtime; the verdict is memoized
+per environment (:func:`repro.native.build.memoized`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.native.build import (
-    CACHE_ENV,
-    CC_ENV,
-    LOADER_ENV,
     NATIVE_ENV,
     KernelHandle,
     NativeBuildError,
@@ -34,9 +30,11 @@ from repro.native.build import (
     clear_cache,
     ensure_kernel,
     find_compiler,
+    memoized,
     native_cache_dir,
     native_enabled,
 )
+from repro.native.build import reset_memo as _reset_memo
 from repro.native.source import (
     KERNEL_NAME,
     STATUS_DEADLOCK,
@@ -65,46 +63,20 @@ __all__ = [
     "source_digest",
 ]
 
-#: Memoized state: (env fingerprint, handle-or-None, failure reason).
-_state: Optional[tuple[tuple, Optional[KernelHandle], Optional[str]]] = None
 
+def _build_resolve_kernel() -> KernelHandle:
+    try:
+        return ensure_kernel()
+    except NativeUnavailable:
+        from repro.obs import core as obs
 
-def _env_fingerprint() -> tuple:
-    return tuple(
-        os.environ.get(var) for var in (NATIVE_ENV, CC_ENV, LOADER_ENV, CACHE_ENV)
-    )
-
-
-def _reset_memo() -> None:
-    global _state
-    _state = None
+        obs.count("native.unavailable")
+        raise
 
 
 def get_resolve_kernel() -> KernelHandle:
     """The compiled worklist kernel (built/cached/loaded on first use)."""
-    global _state
-    fingerprint = _env_fingerprint()
-    if _state is not None and _state[0] == fingerprint:
-        handle, reason = _state[1], _state[2]
-        if handle is not None:
-            return handle
-        raise NativeUnavailable(reason)
-    try:
-        from repro.trace.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            raise NativeUnavailable(
-                "the native backend requires numpy, which is not installed"
-            )
-        handle = ensure_kernel()
-    except NativeUnavailable as exc:
-        from repro.obs import core as obs
-
-        obs.count("native.unavailable")
-        _state = (fingerprint, None, str(exc))
-        raise
-    _state = (fingerprint, handle, None)
-    return handle
+    return memoized("resolve", _build_resolve_kernel)
 
 
 def native_available() -> bool:
@@ -147,7 +119,6 @@ def native_status() -> dict:
         "enabled": native_enabled(),
         "available": False,
         "reason": None,
-        "loader": None,
         "key": None,
         "compiler": " ".join(compiler) if compiler else None,
         "cache_dir": str(root),
@@ -158,7 +129,6 @@ def native_status() -> dict:
     try:
         handle = get_resolve_kernel()
         status["available"] = True
-        status["loader"] = handle.loader
         status["key"] = handle.key
     except NativeUnavailable as exc:
         status["reason"] = str(exc)
@@ -172,7 +142,6 @@ def describe_status(status: Optional[dict] = None) -> str:
         f"native backend: {'available' if st['available'] else 'unavailable'}",
         f"enabled:        {st['enabled']} ({NATIVE_ENV}=0 disables)",
         f"compiler:       {st['compiler'] or 'none found'}",
-        f"loader:         {st['loader'] or '-'}",
         f"cache dir:      {st['cache_dir']}",
         f"cached builds:  {st['cached_builds']} ({st['cache_bytes'] / 1e3:.1f} kB)",
         f"source sha256:  {st['source_sha256'][:16]}…",

@@ -1,21 +1,22 @@
-"""Build, cache, and load the compiled sync-replay kernel.
+"""Build, cache, and load the JIT-compiled C kernels.
 
-The pipeline is: generate C (:mod:`repro.native.source`) → compile it to a
-plain shared library → load the exported symbol through cffi (preferred) or
-ctypes (always available).  Builds land in a content-addressed on-disk
-cache keyed by the SHA-256 of the generated source plus the compiler
-identity, mirroring :class:`repro.runtime.cache.ArtifactCache`'s
-corruption-tolerant semantics: a missing, truncated, or unloadable artifact
-is a *miss* (the entry is swept and rebuilt), never an error.  When no
-compiler and no cached build are available the subsystem reports itself
-unavailable and the analysis layer falls back to the pure-Python backends.
+One pipeline serves every kernel (the sync-replay kernel of
+:mod:`repro.native.source` and the v3 column decoder of
+:mod:`repro.trace._native_codec`): generated C → compile it to a plain
+shared library → load the exported symbol through ctypes.  Builds land in
+a content-addressed on-disk cache keyed by the SHA-256 of the generated
+source plus the compiler identity, mirroring
+:class:`repro.runtime.cache.ArtifactCache`'s corruption-tolerant
+semantics: a missing, truncated, or unloadable artifact is a *miss* (the
+entry is swept and rebuilt), never an error.  When no compiler and no
+cached build are available the kernel reports itself unavailable and its
+caller falls back to the numpy implementation.
 
 Environment knobs (all optional):
 
-* ``REPRO_NATIVE=0`` — disable the native backend entirely;
+* ``REPRO_NATIVE=0`` — disable every native kernel;
 * ``REPRO_CC`` — compiler command (default: ``$CC`` from the Python build,
   then ``cc``/``gcc``/``clang`` on ``PATH``);
-* ``REPRO_NATIVE_LOADER=cffi|ctypes`` — force one FFI loader;
 * ``REPRO_NATIVE_CACHE_DIR`` — build-cache location (default:
   ``<artifact cache>/native``, i.e. ``$REPRO_CACHE_DIR`` aware).
 """
@@ -32,22 +33,16 @@ import sys
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.logutil import get_logger
-from repro.native.source import (
-    KERNEL_NAME,
-    RESOLVE_ARGS,
-    cffi_cdef,
-    kernel_source,
-)
+from repro.native.source import KERNEL_NAME, RESOLVE_ARGS, kernel_source
 from repro.obs import core as obs
 
 log = get_logger("native.build")
 
 NATIVE_ENV = "REPRO_NATIVE"
 CC_ENV = "REPRO_CC"
-LOADER_ENV = "REPRO_NATIVE_LOADER"
 CACHE_ENV = "REPRO_NATIVE_CACHE_DIR"
 
 #: Bumping this invalidates every cached build (key ingredient).
@@ -186,39 +181,152 @@ def compile_shared_lib(source: str, cmd: list[str], out_path: Path) -> None:
         obs.count("native.build.compile")
 
 
-def _write_sidecar(entry: Path, key: str, cmd: list[str]) -> None:
+def _write_sidecar(
+    entry: Path, key: str, cmd: list[str], symbol: str, source: str
+) -> None:
     payload = {
         "schema": BUILD_SCHEMA,
         "key": key,
-        "kernel": KERNEL_NAME,
+        "kernel": symbol,
         "compiler": compiler_id(cmd),
     }
     try:
         tmp = entry.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(payload, indent=2))
         os.replace(tmp, entry.with_suffix(".json"))
-        entry.with_suffix(".c").write_text(kernel_source())
+        entry.with_suffix(".c").write_text(source)
     except OSError as exc:
         # The .so alone is sufficient; sidecars are diagnostics.
         log.debug("sidecar write failed for %s: %r", key, exc)
 
 
-# ------------------------------------------------------------------- loaders
+# ------------------------------------------------------------ build + load
+class Library(NamedTuple):
+    """One loaded kernel: the typed ctypes function and its cache entry."""
+
+    fn: Callable
+    path: Path
+    key: str
+
+
+def _load(path: Path, key: str, symbol: str, argtypes: Sequence) -> Library:
+    """dlopen ``path`` and type ``symbol`` (int64 return); an unloadable
+    artifact raises :class:`NativeUnavailable`."""
+    with obs.span("native.load", path=path.name):
+        try:
+            fn = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError) as exc:
+            raise NativeUnavailable(f"cannot load {path.name}: {exc}") from exc
+    fn.restype = ctypes.c_int64
+    fn.argtypes = list(argtypes)
+    log.debug("loaded %s from %s", symbol, path.name)
+    return Library(fn, path, key)
+
+
+def ensure_library(
+    source: str,
+    symbol: str,
+    argtypes: Sequence,
+    *,
+    subdir: str = "",
+    cache_dir: Optional[Path] = None,
+) -> Library:
+    """Compile, cache and load ``symbol`` from the C ``source``.
+
+    The build lives under ``<cache>/<subdir>`` so kernels never collide.
+    A cached build is reused; an unloadable one is evicted and rebuilt.
+    Raises :class:`NativeUnavailable` when disabled, or when neither a
+    loadable cached build nor a working compiler exists.
+    """
+    if not native_enabled():
+        raise NativeUnavailable(f"native backend disabled ({NATIVE_ENV}=0)")
+    root = (
+        Path(cache_dir) if cache_dir is not None else native_cache_dir()
+    ) / subdir
+    cmd = find_compiler()
+    if cmd is None:
+        # No compiler: a previously cached build may still be loadable.
+        for so in sorted(root.glob("??/*.so")):
+            try:
+                return _load(so, so.stem, symbol, argtypes)
+            except NativeUnavailable:
+                continue
+        raise NativeUnavailable(
+            f"no C compiler found (set ${CC_ENV}) and no cached build of "
+            f"{symbol}"
+        )
+    key = build_key(source, cmd)
+    entry = _entry(root, key)
+    so_path = entry.with_suffix(".so")
+    if so_path.exists():
+        try:
+            lib = _load(so_path, key, symbol, argtypes)
+        except NativeUnavailable as exc:
+            # Corrupt or ABI-stale artifact: treat as a miss and rebuild.
+            obs.count("native.build.evict")
+            log.debug("evicting unloadable build %s: %r", key, exc)
+            _remove_entry(entry)
+        else:
+            obs.count("native.build.cache_hit")
+            return lib
+    compile_shared_lib(source, cmd, so_path)
+    _write_sidecar(entry, key, cmd, symbol, source)
+    return _load(so_path, key, symbol, argtypes)
+
+
+def env_fingerprint() -> tuple:
+    """The environment every kernel's availability depends on."""
+    env = os.environ
+    return (env.get(NATIVE_ENV), env.get(CC_ENV), env.get(CACHE_ENV))
+
+
+#: name -> (env fingerprint, value, failure reason) per memoized kernel.
+_MEMO: dict[str, tuple[tuple, object, Optional[str]]] = {}
+
+
+def memoized(name: str, factory: Callable[[], object]):
+    """``factory()``'s result, memoized until the environment changes.
+
+    A :class:`NativeUnavailable` verdict is memoized too (and re-raised),
+    so a compiler-less host probes once, not once per call.
+    """
+    fingerprint = env_fingerprint()
+    state = _MEMO.get(name)
+    if state is None or state[0] != fingerprint:
+        try:
+            state = (fingerprint, factory(), None)
+        except NativeUnavailable as exc:
+            state = (fingerprint, None, str(exc))
+        _MEMO[name] = state
+    if state[2] is not None:
+        raise NativeUnavailable(state[2])
+    return state[1]
+
+
+def reset_memo() -> None:
+    """Forget every memoized kernel (tests flip the environment)."""
+    _MEMO.clear()
+
+
+# ---------------------------------------------------------- resolve kernel
+_PTR = ctypes.POINTER(ctypes.c_int64)
+
+
 class KernelHandle:
-    """A loaded kernel: callable with the :data:`RESOLVE_ARGS` tuple.
+    """The loaded resolve kernel: callable with the :data:`RESOLVE_ARGS`
+    tuple.
 
     Scalars are passed as Python ints, arrays as C-contiguous ``int64``
-    numpy arrays; the handle marshals them to typed pointers through the
-    chosen FFI layer and returns the kernel's int status.
+    numpy arrays; the handle marshals them to typed pointers and returns
+    the kernel's int status.
     """
 
-    __slots__ = ("loader", "path", "key", "_call")
+    __slots__ = ("path", "key", "_fn")
 
-    def __init__(self, loader: str, path: Path, key: str, call):
-        self.loader = loader
-        self.path = path
-        self.key = key
-        self._call = call
+    def __init__(self, lib: Library):
+        self.path = lib.path
+        self.key = lib.key
+        self._fn = lib.fn
 
     def __call__(self, *args) -> int:
         if len(args) != len(RESOLVE_ARGS):
@@ -226,10 +334,15 @@ class KernelHandle:
                 f"{KERNEL_NAME} takes {len(RESOLVE_ARGS)} arguments, "
                 f"got {len(args)}"
             )
-        return self._call(args)
+        marshalled = [
+            int(value) if kind == "scalar"
+            else _check_array(value, name).ctypes.data_as(_PTR)
+            for (kind, name), value in zip(RESOLVE_ARGS, args)
+        ]
+        return int(self._fn(*marshalled))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"KernelHandle({self.loader}, {self.path.name})"
+        return f"KernelHandle({self.path.name})"
 
 
 def _check_array(arr, name: str):
@@ -247,125 +360,14 @@ def _check_array(arr, name: str):
     return arr
 
 
-def _load_cffi(path: Path, key: str) -> KernelHandle:
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(cffi_cdef())
-    lib = ffi.dlopen(str(path))
-    fn = getattr(lib, KERNEL_NAME)
-    spec = RESOLVE_ARGS
-    cast = ffi.cast
-
-    def call(args):
-        marshalled = []
-        keepalive = args  # noqa: F841 - arrays must outlive the call
-        for (kind, name), value in zip(spec, args):
-            if kind == "scalar":
-                marshalled.append(int(value))
-            else:
-                arr = _check_array(value, name)
-                marshalled.append(cast("int64_t *", arr.ctypes.data))
-        return int(fn(*marshalled))
-
-    return KernelHandle("cffi", path, key, call)
-
-
-def _load_ctypes(path: Path, key: str) -> KernelHandle:
-    lib = ctypes.CDLL(str(path))
-    fn = getattr(lib, KERNEL_NAME)
-    ptr_t = ctypes.POINTER(ctypes.c_int64)
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64 if kind == "scalar" else ptr_t
-        for kind, _ in RESOLVE_ARGS
-    ]
-    spec = RESOLVE_ARGS
-
-    def call(args):
-        marshalled = []
-        keepalive = args  # noqa: F841 - arrays must outlive the call
-        for (kind, name), value in zip(spec, args):
-            if kind == "scalar":
-                marshalled.append(int(value))
-            else:
-                arr = _check_array(value, name)
-                marshalled.append(arr.ctypes.data_as(ptr_t))
-        return int(fn(*marshalled))
-
-    return KernelHandle("ctypes", path, key, call)
-
-
-def _loaders() -> list[tuple[str, object]]:
-    forced = os.environ.get(LOADER_ENV, "").strip().lower()
-    table = [("cffi", _load_cffi), ("ctypes", _load_ctypes)]
-    if forced:
-        table = [(name, fn) for name, fn in table if name == forced]
-        if not table:
-            raise NativeUnavailable(
-                f"unknown {LOADER_ENV}={forced!r}; expected 'cffi' or 'ctypes'"
-            )
-    return table
-
-
-def load_kernel(path: Path, key: str) -> KernelHandle:
-    """Load the kernel from ``path`` via the first working FFI loader."""
-    errors = []
-    with obs.span("native.load", path=path.name):
-        for name, loader in _loaders():
-            try:
-                handle = loader(path, key)
-            except ImportError as exc:  # cffi not installed
-                errors.append(f"{name}: {exc}")
-            except OSError as exc:  # unloadable artifact
-                errors.append(f"{name}: {exc}")
-            else:
-                log.debug("loaded kernel %s via %s", path.name, name)
-                return handle
-    raise NativeUnavailable(
-        "no FFI loader could load the kernel: " + "; ".join(errors)
-    )
-
-
-# -------------------------------------------------------------------- facade
 def ensure_kernel(cache_dir: Optional[Path] = None) -> KernelHandle:
-    """The resolve kernel: loaded from cache, or compiled then cached.
-
-    Raises :class:`NativeUnavailable` when disabled, or when neither a
-    loadable cached build nor a working compiler exists.
-    """
-    if not native_enabled():
-        raise NativeUnavailable(f"native backend disabled ({NATIVE_ENV}=0)")
-    root = Path(cache_dir) if cache_dir is not None else native_cache_dir()
-    source = kernel_source()
-    cmd = find_compiler()
-    if cmd is None:
-        # No compiler: a previously cached build may still be loadable.
-        for so in sorted(root.glob("??/*.so")):
-            try:
-                return load_kernel(so, so.stem)
-            except NativeUnavailable:
-                continue
-        raise NativeUnavailable(
-            "no C compiler found (set $REPRO_CC) and no cached kernel build"
-        )
-    key = build_key(source, cmd)
-    entry = _entry(root, key)
-    so_path = entry.with_suffix(".so")
-    if so_path.exists():
-        try:
-            handle = load_kernel(so_path, key)
-        except NativeUnavailable as exc:
-            # Corrupt or ABI-stale artifact: treat as a miss and rebuild.
-            obs.count("native.build.evict")
-            log.debug("evicting unloadable kernel build %s: %r", key, exc)
-            _remove_entry(entry)
-        else:
-            obs.count("native.build.cache_hit")
-            return handle
-    compile_shared_lib(source, cmd, so_path)
-    _write_sidecar(entry, key, cmd)
-    return load_kernel(so_path, key)
+    """The resolve kernel: loaded from cache, or compiled then cached."""
+    argtypes = [
+        ctypes.c_int64 if kind == "scalar" else _PTR for kind, _ in RESOLVE_ARGS
+    ]
+    return KernelHandle(ensure_library(
+        kernel_source(), KERNEL_NAME, argtypes, cache_dir=cache_dir
+    ))
 
 
 def cache_entries(cache_dir: Optional[Path] = None) -> list[Path]:

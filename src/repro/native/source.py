@@ -7,8 +7,8 @@ worklist sweep of :class:`repro.analysis.eventbased_columnar._ColumnarResolver`
 kernel consumes — per-thread prefix sums, special positions, the sync-pairing
 index arrays — is precomputed in numpy and handed over as typed ``int64``
 pointers, following the xobjects pattern of describing every kernel argument
-as a ``("scalar" | "array", name)`` pair and generating the C signature, the
-cffi ``cdef`` and the ctypes prototype from that one table.
+as a ``("scalar" | "array", name)`` pair and generating the C signature and
+the ctypes prototype from that one table.
 
 The kernel never raises: structural errors are precomputed as per-special
 flags, and the kernel *stops* at the first special the Python worklist would
@@ -44,8 +44,8 @@ ADV_MISSING = -2  # raises once the awaitB is resolved (parity with Python)
 #: Kernel argument descriptions, xobjects-style: ``(kind, name)`` with kind
 #: one of ``"scalar"`` (int64 by value), ``"in"`` (const int64 pointer) or
 #: ``"out"`` (mutable int64 pointer).  Declaration order here *is* the call
-#: order; the packer, the cffi cdef and the ctypes prototype all derive from
-#: this table, so they can never drift apart.
+#: order; the packer, the C signature and the ctypes prototype all derive
+#: from this table, so they can never drift apart.
 RESOLVE_ARGS: tuple[tuple[str, str], ...] = (
     ("scalar", "nthreads"),
     ("scalar", "total_events"),
@@ -96,11 +96,6 @@ def c_signature() -> str:
     """The kernel's C parameter list, generated from :data:`RESOLVE_ARGS`."""
     parts = [_C_TYPES[kind].format(name=name) for kind, name in RESOLVE_ARGS]
     return ",\n    ".join(parts)
-
-
-def cffi_cdef() -> str:
-    """Declaration for ``cffi.FFI.cdef`` (same generated signature)."""
-    return f"int64_t {KERNEL_NAME}(\n    {c_signature()});"
 
 
 # Per-rule resolution bodies.  Each snippet computes ``ta`` or sets

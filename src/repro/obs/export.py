@@ -60,18 +60,8 @@ def env_fingerprint() -> dict:
     """
     from repro import __version__
 
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    try:
-        import cffi
-
-        cffi_version: Optional[str] = cffi.__version__
-    except ImportError:
-        cffi_version = None
     return {
         "repro_version": __version__,
         "python": sys.version.split()[0],
@@ -79,8 +69,7 @@ def env_fingerprint() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "n_cpus": os.cpu_count(),
-        "numpy": numpy_version,
-        "cffi": cffi_version,
+        "numpy": numpy.__version__,
         "env": {
             k: v for k, v in sorted(os.environ.items())
             if k.startswith("REPRO_")

@@ -402,11 +402,8 @@ def validate_trace(trace: Trace) -> list[Diagnostic]:
     single event object; only traces the screen cannot certify fall
     through to the exact streaming walk.
     """
-    from repro.trace import columnar as _c
-
-    if _c.HAVE_NUMPY and trace.has_columns:
-        if _columns_provably_clean(trace):
-            return []
+    if trace.has_columns and _columns_provably_clean(trace):
+        return []
     return validate_events(
         trace.events, sem_capacities=trace.meta.get("semaphores"),
     )

@@ -17,7 +17,7 @@ from repro.trace.events import (
     kind_from_value,
 )
 from repro.trace.trace import Trace, ThreadView, TraceError
-from repro.trace.columnar import HAVE_NUMPY, NONE_SENTINEL, StringTable, TraceColumns
+from repro.trace.columnar import NONE_SENTINEL, StringTable, TraceColumns
 from repro.trace.order import (
     happened_before_pairs,
     sync_partial_order,
@@ -55,7 +55,6 @@ __all__ = [
     "KIND_CODE",
     "is_sync_kind",
     "kind_from_value",
-    "HAVE_NUMPY",
     "NONE_SENTINEL",
     "StringTable",
     "TraceColumns",

@@ -1,6 +1,6 @@
-"""Packed binary trace files (``.rpt``, trace formats v2 and v3).
+"""Packed binary trace files (``.rpt``): v3 is written, v2 and v3 are read.
 
-v2 layout (``RPTRACE2``)::
+v2 layout (``RPTRACE2``, read-only)::
 
     bytes 0..7    magic  b"RPTRACE2"
     bytes 8..15   little-endian uint64: JSON header length H
@@ -12,10 +12,8 @@ v2 layout (``RPTRACE2``)::
     then, per column named in "columns", N little-endian int64 values.
 
 The v2 column buffers are the :class:`~repro.trace.columnar.TraceColumns`
-arrays written verbatim, so loading is ``np.frombuffer`` per column — no
-per-event parsing at all.  That buys the ~10x+ load speedup over JSONL on
-million-event traces, but costs a flat 8 bytes per field on disk and
-forces readers to materialize the whole trace.
+arrays verbatim, so loading is ``np.frombuffer`` per column.  Existing v2
+files stay readable; nothing writes them any more.
 
 v3 layout (``RPTRACE3``) replaces the flat buffers with fixed-size event
 chunks whose columns are delta/varint/zlib-encoded (see
@@ -39,7 +37,7 @@ truncation-recovery path) never needs the footer; the footer lets
 skip it entirely on a min/max predicate — without touching the rest of
 the file.
 
-Writes of both versions are atomic exactly like JSONL writes: data goes
+v3 writes are atomic exactly like JSONL writes: data goes
 to a ``.tmp`` sibling that is fsynced and renamed over the destination.
 A short file (external damage; our own writes can't produce one) raises
 :class:`~repro.trace.io.TruncatedTraceError`; ``tolerate_truncation=True``
@@ -93,40 +91,27 @@ def write_trace_binary(
     trace: Trace,
     path: Union[str, Path, IO[bytes]],
     *,
-    version: int = FORMAT_VERSION,
     chunk_events: Optional[int] = None,
     codec: Optional[str] = None,
     level: Optional[int] = None,
 ) -> None:
-    """Write ``trace`` as a packed ``.rpt`` file (path or binary handle).
+    """Write ``trace`` as a packed v3 ``.rpt`` file (path or binary handle).
 
-    ``version`` selects the layout (2 = flat buffers, 3 = chunked
-    compressed columns); ``chunk_events``/``codec``/``level`` tune the v3
-    writer and are rejected for v2.
+    ``chunk_events``/``codec``/``level`` tune the chunk layout; out-of-range
+    values raise :class:`ValueError` before anything is written.
     """
-    _columnar._require_numpy()
-    if version == FORMAT_VERSION:
-        if chunk_events is not None or codec is not None or level is not None:
-            raise ValueError(
-                "chunk_events/codec/level only apply to trace format v3"
-            )
-        writer = _write_stream
-    elif version == FORMAT_VERSION_V3:
-        def writer(trace: Trace, fh: IO[bytes]) -> None:
-            _write_stream_v3(
-                trace, fh,
-                chunk_events=chunk_events, codec=codec, level=level,
-            )
-    else:
-        raise ValueError(f"unknown packed trace version {version!r}")
     if hasattr(path, "write"):
-        writer(trace, path)  # type: ignore[arg-type]
+        _write_stream_v3(
+            trace, path, chunk_events=chunk_events, codec=codec, level=level
+        )
         return
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            writer(trace, fh)
+            _write_stream_v3(
+                trace, fh, chunk_events=chunk_events, codec=codec, level=level
+            )
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -134,29 +119,6 @@ def write_trace_binary(
         tmp.unlink(missing_ok=True)
         raise
     obs.count("io.bytes_written", target.stat().st_size)
-
-
-# ------------------------------------------------------------------ v2 write
-def _write_stream(trace: Trace, fh: IO[bytes]) -> None:
-    cols = trace.columns
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "meta": trace.meta,
-        "n_events": len(cols),
-        "columns": list(COLUMN_NAMES),
-        "sync_var_table": list(cols.sync_var_table),
-        "label_table": list(cols.label_table),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    fh.write(MAGIC)
-    fh.write(struct.pack("<Q", len(blob)))
-    fh.write(blob)
-    for name in COLUMN_NAMES:
-        col = getattr(cols, name)
-        if col.dtype.byteorder not in ("<", "=", "|"):  # pragma: no cover
-            col = col.astype("<i8")
-        fh.write(col.tobytes())
 
 
 # ------------------------------------------------------------------ v3 write
@@ -187,9 +149,7 @@ def _write_stream_v3(
     codec: Optional[str] = None,
     level: Optional[int] = None,
 ) -> None:
-    cols = trace.columns
-    n = len(cols)
-    chunk_events = chunk_events if chunk_events else DEFAULT_CHUNK_EVENTS
+    chunk_events = DEFAULT_CHUNK_EVENTS if chunk_events is None else chunk_events
     if chunk_events < 1:
         raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
     codec = codec if codec else _codec.default_compressor()
@@ -199,6 +159,9 @@ def _write_stream_v3(
             f"expected one of {_codec.COMPRESSORS}"
         )
     level = _codec.DEFAULT_LEVEL if level is None else level
+    _codec.compress(b"", codec, level)  # a bad level fails before any write
+    cols = trace.columns
+    n = len(cols)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION_V3,
@@ -270,7 +233,6 @@ def read_trace_binary(
     path: Union[str, Path, IO[bytes]], *, tolerate_truncation: bool = False
 ) -> Trace:
     """Read a packed ``.rpt`` trace (path or binary handle, v2 or v3)."""
-    _columnar._require_numpy()
     if hasattr(path, "read"):
         return _read_stream(path, tolerate_truncation)  # type: ignore[arg-type]
     size = None

@@ -295,8 +295,14 @@ def decode_column(payload: bytes, rows: int, encoding: str, out=None):
 
 # ------------------------------------------------------------ compression
 def compress(data: bytes, codec: str, level: int = DEFAULT_LEVEL) -> bytes:
+    """Compress one payload; an out-of-range ``level`` raises ValueError."""
     if codec == "zlib":
-        return zlib.compress(data, level)
+        try:
+            return zlib.compress(data, level)
+        except zlib.error as exc:
+            raise ValueError(
+                f"invalid zlib compression level {level!r}: {exc}"
+            ) from exc
     if codec == "zstd":
         if not HAVE_ZSTD:
             raise CodecError("zstd codec requested but zstandard is not installed")

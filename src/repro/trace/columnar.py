@@ -8,7 +8,7 @@ school of trace storage (LTTng-style packed records; xobjects-style
 struct-of-arrays device buffers): analysis passes touch whole columns with
 vectorized numpy kernels instead of walking millions of per-event Python
 objects, and the packed binary trace format (:mod:`repro.trace.binio`)
-serialises the buffers verbatim.
+serialises the same columns chunk by chunk.
 
 Encoding conventions
 --------------------
@@ -19,23 +19,13 @@ Encoding conventions
   prologue awaits use negative indices), so ``-1`` is not available;
 * ``sync_var`` / ``label`` store indices into the per-trace string tables;
   index ``-1`` means ``None`` (for ``sync_var``) / ``""`` (for ``label``).
-
-Everything here degrades gracefully when numpy is unavailable: importing
-the module succeeds, :data:`HAVE_NUMPY` is False, and callers fall back to
-the object-based paths.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.trace.events import KIND_CODE, KIND_LIST, EventKind, TraceEvent
 
@@ -65,13 +55,6 @@ COLUMN_NAMES = (
     "sync_var",
     "label",
 )
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the columnar trace backend requires numpy, which is not installed"
-        )
 
 
 def _checked_optional(value: int, field: str, row: int) -> int:
@@ -160,7 +143,6 @@ class TraceColumns:
         sync_var_table: Sequence[str],
         label_table: Sequence[str],
     ):
-        _require_numpy()
         given = {
             "time": time, "thread": thread, "kind": kind, "eid": eid,
             "seq": seq, "iteration": iteration, "sync_index": sync_index,
@@ -181,7 +163,6 @@ class TraceColumns:
     @classmethod
     def from_events(cls, events: Sequence[TraceEvent]) -> "TraceColumns":
         """Pack an event sequence into columns (one pass, O(n))."""
-        _require_numpy()
         n = len(events)
         cols = {name: np.empty(n, dtype=np.int64) for name in COLUMN_NAMES}
         sync_vars = StringTable()
@@ -392,7 +373,6 @@ def overhead_table(costs) -> "npt.NDArray":
     indexing the result with a ``kind`` column yields each event's probe
     overhead.
     """
-    _require_numpy()
     return np.array(
         [costs.overhead_for(k) for k in KIND_LIST], dtype=np.int64
     )

@@ -5,23 +5,19 @@ Two on-disk formats share one entry point pair:
 * **JSONL** (format v1): a header object on the first line
   (``{"format": ..., "meta": {...}}``) followed by one event object per
   line.  Streamable, diffable, human-inspectable.
-* **Packed binary v2** (``.rpt``, :mod:`repro.trace.binio`): the columnar
-  backend's numpy buffers written verbatim after a small JSON header.
-  ~10x+ faster to load at million-event scale and loads straight into the
-  vectorized analysis paths with zero per-event parsing.
-* **Packed binary v3** (``.rpt``, chunked + compressed): the same columns
-  split into fixed-size event chunks, delta/varint/zlib-encoded per
-  column, with a chunk index so :mod:`repro.trace.stream` can analyze
-  arbitrarily large traces in bounded memory.  See ``docs/FORMATS.md``.
+* **Packed binary v3** (``.rpt``, :mod:`repro.trace.binio`): the columnar
+  backend's columns split into fixed-size event chunks,
+  delta/varint/zlib-encoded per column, with a chunk index so
+  :mod:`repro.trace.stream` can analyze arbitrarily large traces in
+  bounded memory.  See ``docs/FORMATS.md``.
 
 :func:`read_trace` auto-detects the format from the file's leading bytes
-(the ``RPTRACE2``/``RPTRACE3`` magic), so readers never need to care which
-one they were handed.  :func:`write_trace` picks the format from the
-target's suffix (``.rpt`` -> packed binary, anything else -> JSONL) unless
-``format=`` forces one; for packed targets the version defaults to v2
-unless the ``REPRO_TRACE_FORMAT`` environment variable says ``v3`` (an
-explicit ``format="v2"``/``"v3"`` argument always wins over the
-environment).  ``repro-trace convert`` translates between all three.
+(the ``RPTRACE3`` magic, or ``RPTRACE2`` for legacy flat packed files,
+which are still read but no longer written), so readers never need to
+care which one they were handed.  :func:`write_trace` picks the format
+from the target's suffix (``.rpt`` -> packed v3, anything else -> JSONL)
+unless ``format=`` forces one.  ``repro-trace convert`` translates
+between them.
 
 Robustness guarantees:
 
@@ -47,26 +43,6 @@ from repro.trace.trace import Trace, TraceError
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
-
-
-def default_packed_format() -> str:
-    """Packed version ``"rpt"`` resolves to: ``"v2"``, or ``"v3"`` when
-    the ``REPRO_TRACE_FORMAT`` environment variable selects it.
-
-    Only ``"v2"``/``"v3"`` (and the aliases ``"2"``/``"3"``) are honored;
-    anything else — including ``"jsonl"``, which cannot be a *packed*
-    default — raises so a typo in CI config fails loudly instead of
-    silently writing the wrong format.
-    """
-    raw = os.environ.get("REPRO_TRACE_FORMAT", "").strip().lower()
-    if raw in ("", "rpt", "v2", "2"):
-        return "v2"
-    if raw in ("v3", "3"):
-        return "v3"
-    raise ValueError(
-        f"REPRO_TRACE_FORMAT={raw!r} is not a packed trace version "
-        "(expected 'v2' or 'v3')"
-    )
 
 
 class TruncatedTraceError(TraceError):
@@ -100,35 +76,29 @@ def write_trace(
 ) -> None:
     """Write a trace to ``path`` (a path or an open handle).
 
-    ``format`` is ``"jsonl"``, ``"rpt"``, ``"v2"``, ``"v3"``, or None to
-    infer: a ``.rpt`` path suffix (or a binary handle) selects the packed
-    format, anything else JSONL.  ``"rpt"`` (and an inferred packed
-    target) writes the *default* packed version — v2, or v3 when the
-    ``REPRO_TRACE_FORMAT`` environment variable is ``v3``; ``"v2"``/
-    ``"v3"`` pin a version explicitly.  ``chunk_events``/``codec``/
-    ``level`` tune the v3 chunk layout and are rejected for other formats.
+    ``format`` is ``"jsonl"``, ``"rpt"`` or ``"v3"`` (synonyms: the packed
+    v3 format), or None to infer: a ``.rpt`` path suffix (or a binary
+    handle) selects the packed format, anything else JSONL.
+    ``chunk_events``/``codec``/``level`` tune the v3 chunk layout and are
+    rejected for JSONL.
     Path targets are written atomically: the data goes to a ``.tmp``
     sibling which is fsynced and renamed over the destination, so readers
     never observe a partially written trace under the final name.
     """
     from repro.trace import binio
 
-    if format not in (None, "jsonl", "rpt", "v2", "v3"):
-        raise ValueError(f"unknown trace format {format!r}")
+    if format not in (None, "jsonl", "rpt", "v3"):
+        raise ValueError(
+            f"unknown trace format {format!r} (writable: 'jsonl', 'rpt'/'v3')"
+        )
     if format is None:
         if hasattr(path, "write"):
             format = "rpt" if _is_binary_handle(path) else "jsonl"
         else:
             format = "rpt" if Path(path).suffix == ".rpt" else "jsonl"
-    if format == "rpt":
-        format = default_packed_format()
-    if format in ("v2", "v3"):
-        version = (
-            binio.FORMAT_VERSION if format == "v2" else binio.FORMAT_VERSION_V3
-        )
+    if format != "jsonl":
         binio.write_trace_binary(
-            trace, path, version=version,
-            chunk_events=chunk_events, codec=codec, level=level,
+            trace, path, chunk_events=chunk_events, codec=codec, level=level
         )
         return
     if chunk_events is not None or codec is not None or level is not None:

@@ -392,7 +392,7 @@ def run_query(
             f"expected one of {', '.join(GROUP_COLUMNS)}"
         )
     if isinstance(source, (str, Path)):
-        if _is_v3_file(source) and _columnar.HAVE_NUMPY:
+        if _is_v3_file(source):
             with ChunkReader(source) as reader:
                 return run_query(
                     reader, where=preds, group_by=group_by,
@@ -403,7 +403,6 @@ def run_query(
         source = read_trace(source)
     if isinstance(source, Trace):
         source = source.columns
-    _columnar._require_numpy()
     np = _columnar.np
 
     if isinstance(source, TraceColumns):

@@ -39,8 +39,8 @@ slice(T, e)``.
 
 Three implementations share these rules event-for-event:
 
-* :func:`slice_event_indices` — the pure-Python reference over
-  :class:`~repro.trace.events.TraceEvent` objects (works without numpy);
+* :func:`slice_event_indices` — the pure-Python reference oracle over
+  :class:`~repro.trace.events.TraceEvent` objects;
 * :func:`slice_rows` — vectorized over :class:`TraceColumns` int64
   columns (argsort/searchsorted matching, one compact pass over the
   sync rows only);
@@ -374,7 +374,6 @@ def slice_rows(cols: TraceColumns, target_row: int):
     Vectorized equivalent of :func:`slice_event_indices` — identical
     selection by construction of the shared rule set.
     """
-    _columnar._require_numpy()
     np = _columnar.np
     n = len(cols)
     if not 0 <= target_row < n:
@@ -439,15 +438,14 @@ def slice_trace(
     compared seq-for-seq against the full trace; ``meta["slice"]``
     records the target and source size.
 
-    ``backend`` is ``"auto"`` (columnar when numpy is present),
-    ``"columnar"`` or ``"object"``; both produce identical slices.
+    ``backend`` is ``"auto"`` (columnar), ``"columnar"`` or ``"object"``
+    (the reference oracle); both produce identical slices.
     """
     if backend == "auto":
-        backend = "columnar" if _columnar.HAVE_NUMPY else "object"
+        backend = "columnar"
     n = len(trace)
     meta = dict(trace.meta)
     if backend == "columnar":
-        _columnar._require_numpy()
         np = _columnar.np
         if (seq is None) == (index is None):
             raise TraceError("pass exactly one of seq= or index= to slice")
@@ -564,7 +562,6 @@ def slice_file(
     from repro.trace import binio as _binio
     from repro.trace.stream import ChunkReader
 
-    _columnar._require_numpy()
     np = _columnar.np
     if (seq is None) == (index is None):
         raise TraceError("pass exactly one of seq= or index= to slice")

@@ -64,7 +64,6 @@ class ChunkReader:
         *,
         tolerate_truncation: bool = False,
     ):
-        _columnar._require_numpy()
         self.path = Path(path)
         self._fh = open(self.path, "rb")
         try:

@@ -4,7 +4,7 @@ Subcommands::
 
     repro-trace info FILE              # metadata + summary statistics
     repro-trace stats FILE             # alias of info (columnar streaming)
-    repro-trace convert FILE -o OUT    # translate JSONL <-> .rpt v2 <-> v3
+    repro-trace convert FILE -o OUT    # translate JSONL <-> .rpt v3
     repro-trace dump FILE [-n N] [--thread T] [--kind K]
     repro-trace query FILE [--where EXPR] [--group-by COL] [-n N]
     repro-trace slice FILE (--seq S | --index I) [-o OUT] [--show N]
@@ -22,12 +22,12 @@ repair`` / ``skip`` analyzes damaged traces best-effort (see
 :mod:`repro.resilience`); ``inject`` deliberately corrupts a trace, which
 is how the resilience stack itself is exercised and benchmarked.
 
-All three trace formats are accepted everywhere (``read_trace``
-auto-detects JSONL vs packed ``.rpt`` v2/v3); ``convert`` translates
-between them, picking the output format from the ``-o`` suffix unless
-``--format`` forces one (``v3`` adds ``--chunk-events``/``--codec``/
-``--level`` knobs).  JSONL is the diffable interchange format, v2 the
-flat fast-load format, v3 the compressed chunked format that ``stats``,
+Every trace format is accepted everywhere (``read_trace`` auto-detects
+JSONL vs packed ``.rpt`` v3, and still reads legacy flat v2 files);
+``convert`` translates between JSONL and v3, picking the output format
+from the ``-o`` suffix unless ``--format`` forces one (packed output
+takes ``--chunk-events``/``--codec``/``--level``).  JSONL is the diffable
+interchange format, v3 the compressed chunked format that ``stats``,
 ``validate`` and ``analyze --backend streaming`` process in bounded
 memory; ``stats`` on a v3 file additionally reports the on-disk layout
 (bytes per column, chunk count, compression ratio).
@@ -84,9 +84,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("file")
     p_conv.add_argument("-o", "--output", required=True, help="converted trace path")
     p_conv.add_argument(
-        "--format", choices=("jsonl", "rpt", "v2", "v3"), default=None,
+        "--format", choices=("jsonl", "rpt", "v3"), default=None,
         help="output format (default: inferred from the -o suffix; 'rpt' "
-        "writes the default packed version, see REPRO_TRACE_FORMAT)",
+        "and 'v3' both write packed v3)",
     )
     p_conv.add_argument(
         "--chunk-events", type=int, default=None,
@@ -151,7 +151,7 @@ def make_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None, help="write the slice to this path"
     )
     p_slice.add_argument(
-        "--format", choices=("jsonl", "rpt", "v2", "v3"), default=None,
+        "--format", choices=("jsonl", "rpt", "v3"), default=None,
         help="output format (default: inferred from the -o suffix)",
     )
     p_slice.add_argument(
@@ -264,7 +264,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         )
         print(
             f"column payloads: {layout['payload_bytes']} bytes vs "
-            f"{layout['logical_bytes']} flat (v2) — {layout['ratio']:.1f}x "
+            f"{layout['logical_bytes']} flat int64 — {layout['ratio']:.1f}x "
             "compression"
         )
         width = max(len(n) for n in layout["columns"])
@@ -276,14 +276,16 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    from repro.trace.io import default_packed_format
-
+def _output_format(args: argparse.Namespace) -> str:
+    """``"jsonl"`` or ``"v3"``: ``--format``, else the ``-o`` suffix."""
     fmt = args.format
     if fmt is None:
         fmt = "rpt" if str(args.output).endswith(".rpt") else "jsonl"
-    if fmt == "rpt":
-        fmt = default_packed_format()
+    return "jsonl" if fmt == "jsonl" else "v3"
+
+
+def cmd_convert(args: argparse.Namespace) -> int:
+    fmt = _output_format(args)
     if fmt != "v3" and (
         args.chunk_events is not None or args.codec is not None
         or args.level is not None
@@ -292,18 +294,20 @@ def cmd_convert(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     trace = read_trace(args.file)
-    write_trace(
-        trace, args.output, format=fmt,
-        chunk_events=args.chunk_events, codec=args.codec, level=args.level,
-    )
+    try:
+        write_trace(
+            trace, args.output, format=fmt,
+            chunk_events=args.chunk_events, codec=args.codec, level=args.level,
+        )
+    except ValueError as exc:  # out-of-range --chunk-events / --level
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(trace)} event(s) to {args.output} ({fmt})")
     return 0
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    from repro.trace.columnar import HAVE_NUMPY
-
-    if HAVE_NUMPY and _packed_version(args.file) == 3:
+    if _packed_version(args.file) == 3:
         # Head-dumping a chunked trace must not decode the whole file:
         # the query engine stops at the first chunks that satisfy -n and
         # never reads the rest.
@@ -397,9 +401,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    from repro.trace.columnar import HAVE_NUMPY
-
-    if HAVE_NUMPY and _packed_version(args.file) == 3:
+    if _packed_version(args.file) == 3:
         from repro.trace.slice import slice_file
 
         result = slice_file(args.file, seq=args.seq, index=args.index)
@@ -428,13 +430,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
         if len(sliced) > args.show:
             print(f"... ({len(sliced) - args.show} more)")
     if args.output:
-        from repro.trace.io import default_packed_format
-
-        fmt = args.format
-        if fmt is None:
-            fmt = "rpt" if str(args.output).endswith(".rpt") else "jsonl"
-        if fmt == "rpt":
-            fmt = default_packed_format()
+        fmt = _output_format(args)
         write_trace(sliced, args.output, format=fmt)
         print(f"wrote {len(sliced)} event(s) to {args.output} ({fmt})")
     return 0

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.audit import (
     AuditFinding,
@@ -86,9 +85,12 @@ def test_clean_trace_passes_every_check():
 
     report = audit_trace(_measured(), program="toy", minimize=False)
     assert report.ok
+    # One packed round-trip pair: v3 is the only packed format written.
+    assert "roundtrip-rpt3" in TRACE_CHECKS
+    assert "roundtrip-rpt" not in TRACE_CHECKS
     if native.native_available():
         assert report.checks_run == len(TRACE_CHECKS)
-        assert report.skipped == []  # numpy + compiler: nothing skipped
+        assert report.skipped == []  # compiler present: nothing skipped
     else:
         # No compiler (or REPRO_NATIVE=0): only the native pairs skip,
         # and they are recorded, never silently dropped.

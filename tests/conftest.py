@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.exec import Executor, PerturbationConfig
@@ -24,6 +27,25 @@ def inst_costs() -> InstrumentationCosts:
 @pytest.fixture(scope="session")
 def constants(fx80, inst_costs):
     return calibrate_analysis_constants(fx80, inst_costs)
+
+
+def write_v2_trace(trace, path) -> None:
+    """Emit ``trace`` in the legacy flat v2 ``.rpt`` layout (read-only in
+    the library, so tests build it by hand): magic, ``<Q`` header length,
+    JSON header, then each column's raw little-endian int64 values."""
+    from repro.trace.columnar import COLUMN_NAMES
+
+    cols = trace.columns
+    header = json.dumps({
+        "format": "repro-trace", "version": 2, "meta": trace.meta,
+        "n_events": len(cols), "columns": list(COLUMN_NAMES),
+        "sync_var_table": list(cols.sync_var_table),
+        "label_table": list(cols.label_table),
+    }).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"RPTRACE2" + struct.pack("<Q", len(header)) + header)
+        for name in COLUMN_NAMES:
+            fh.write(getattr(cols, name).astype("<i8").tobytes())
 
 
 def build_toy_doacross(trips: int = 120, outside: int = 14, cs: int = 4):

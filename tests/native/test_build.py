@@ -1,27 +1,27 @@
 """Build-layer tests for the ``repro.native`` JIT subsystem.
 
-Cache correctness (hit without recompile, corruption tolerance), the
-environment knobs (``REPRO_NATIVE``, ``REPRO_NATIVE_LOADER``,
-``REPRO_NATIVE_CACHE_DIR``), and both FFI loaders.  Everything runs
-against an isolated cache directory; the user-level cache is never
-touched.  Tests that need a working C compiler skip cleanly where none
+Cache correctness (hit without recompile, corruption tolerance) for both
+kernels that share :func:`repro.native.build.ensure_library` — the
+resolve kernel and the v3 codec kernel — the environment knobs
+(``REPRO_NATIVE``, ``REPRO_NATIVE_CACHE_DIR``), and the ctypes argument
+checks.  Everything runs against an isolated cache directory; the
+user-level cache is never touched.  Tests that need a working C compiler skip cleanly where none
 exists (the ``REPRO_NATIVE=0`` CI leg).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro import native
 from repro.native import build as nb
 from repro.native.build import (
     CACHE_ENV,
-    LOADER_ENV,
     NATIVE_ENV,
     NativeUnavailable,
     build_key,
@@ -32,6 +32,7 @@ from repro.native.build import (
     kernel_source,
 )
 from repro.native.source import RESOLVE_ARGS, STATUS_OK
+from repro.trace import _native_codec
 
 HAVE_CC = find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on host")
@@ -41,31 +42,48 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on host")
 def isolated_cache(tmp_path, monkeypatch):
     """Point the build cache at a throwaway dir; reset the memo around it.
 
-    Also clears an inherited ``REPRO_NATIVE=0`` / forced-loader setting:
-    these tests exercise the subsystem on purpose, even on the CI leg
-    that disables it for the rest of the suite.
+    Also clears an inherited ``REPRO_NATIVE=0`` setting: these tests
+    exercise the subsystem on purpose, even on the CI leg that disables
+    it for the rest of the suite.
     """
     cache = tmp_path / "native-cache"
     monkeypatch.setenv(CACHE_ENV, str(cache))
     monkeypatch.delenv(NATIVE_ENV, raising=False)
-    monkeypatch.delenv(LOADER_ENV, raising=False)
     native._reset_memo()
     yield cache
     native._reset_memo()
 
 
+def _trivial_args() -> list:
+    """Arguments for the resolve kernel on an empty (zero-thread) pack."""
+    return [
+        0 if kind == "scalar" else np.zeros(1, dtype=np.int64)
+        for kind, _name in RESOLVE_ARGS
+    ]
+
+
 def _trivial_call(handle) -> int:
     """Invoke the kernel on an empty (zero-thread) pack: must return OK."""
-    z = lambda n: np.zeros(n, dtype=np.int64)  # noqa: E731
-    args = []
-    for kind, name in RESOLVE_ARGS:
-        if kind == "scalar":
-            args.append(0)
-        elif name == "out_state":
-            args.append(z(1))
-        else:
-            args.append(z(1))
-    return handle(*args)
+    return handle(*_trivial_args())
+
+
+def _codec_works(lib) -> bool:
+    """Decode the one-byte varint 0x01 (zigzag -1) through the codec kernel."""
+    out = np.zeros(1, dtype=np.int64)
+    status = lib.fn(
+        b"\x01", 1, 1, 0, out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+    )
+    return status == _native_codec.STATUS_OK and out[0] == -1
+
+
+#: Both kernels built by ``ensure_library``:
+#: name -> (ensure function, cache subdirectory, smoke check).
+KERNELS = {
+    "resolve": (
+        ensure_kernel, "", lambda h: _trivial_call(h) == STATUS_OK
+    ),
+    "codec": (_native_codec.ensure_codec, "codec", _codec_works),
+}
 
 
 @needs_cc
@@ -100,8 +118,8 @@ def _corrupt(so, payload: bytes) -> None:
     so.write_bytes(payload)
 
 
-def _ensure_in_fresh_process(cache) -> str:
-    """Run ``ensure_kernel`` in a new interpreter; return the build key.
+def _ensure_in_fresh_process(cache, kernel: str = "resolve") -> str:
+    """Build ``kernel`` in a new interpreter; return the build key.
 
     dlopen dedups by path within a process, so once a library has been
     loaded here, reloading the same path silently reuses the stale
@@ -116,10 +134,11 @@ def _ensure_in_fresh_process(cache) -> str:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_dir, env.get("PYTHONPATH")])
     )
+    ensure = KERNELS[kernel][0]
     proc = subprocess.run(
         [_sys.executable, "-c",
-         "from repro.native.build import ensure_kernel; "
-         "print(ensure_kernel().key)"],
+         f"from {ensure.__module__} import {ensure.__name__}; "
+         f"print({ensure.__name__}().key)"],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -128,43 +147,50 @@ def _ensure_in_fresh_process(cache) -> str:
 
 @needs_cc
 def test_corrupt_artifact_is_a_miss_not_an_error(isolated_cache):
-    handle = ensure_kernel()
-    [so] = cache_entries()
-    _corrupt(so, b"this is not a shared library")
+    for name, (ensure, subdir, _works) in KERNELS.items():
+        built = ensure()
+        [so] = cache_entries(isolated_cache / subdir)
+        _corrupt(so, b"this is not a shared library")
 
-    # A cold process must treat the garbage as a miss: evict, rebuild,
-    # and come back with the same content-addressed key.
-    assert _ensure_in_fresh_process(isolated_cache) == handle.key
-    assert so.read_bytes()[:4] == b"\x7fELF"
+        # A cold process must treat the garbage as a miss: evict, rebuild,
+        # and come back with the same content-addressed key.
+        assert _ensure_in_fresh_process(isolated_cache, name) == built.key
+        assert so.read_bytes()[:4] == b"\x7fELF"
 
 
 @needs_cc
 def test_truncated_artifact_recovers(isolated_cache):
-    handle = ensure_kernel()
-    [so] = cache_entries()
-    # Keep only the ELF header: dlopen rejects it cleanly as too short.
-    _corrupt(so, so.read_bytes()[:64])
-    assert _ensure_in_fresh_process(isolated_cache) == handle.key
-    assert so.stat().st_size > 64
+    for name, (ensure, subdir, _works) in KERNELS.items():
+        built = ensure()
+        [so] = cache_entries(isolated_cache / subdir)
+        # Keep only the ELF header: dlopen rejects it cleanly as too short.
+        _corrupt(so, so.read_bytes()[:64])
+        assert _ensure_in_fresh_process(isolated_cache, name) == built.key
+        assert so.stat().st_size > 64
 
 
 @needs_cc
-@pytest.mark.parametrize("loader", ["cffi", "ctypes"])
-def test_forced_loader(isolated_cache, monkeypatch, loader):
-    if loader == "cffi":
-        pytest.importorskip("cffi")
-    monkeypatch.setenv(LOADER_ENV, loader)
-    native._reset_memo()
+def test_resolve_kernel_loads_via_ctypes_and_checks_arrays(isolated_cache):
     handle = native.get_resolve_kernel()
-    assert handle.loader == loader
+    # A typed ctypes prototype generated from RESOLVE_ARGS.
+    assert len(handle._fn.argtypes) == len(RESOLVE_ARGS)
+    assert handle._fn.restype is ctypes.c_int64
     assert _trivial_call(handle) == STATUS_OK
 
-
-def test_unknown_loader_rejected(isolated_cache, monkeypatch):
-    monkeypatch.setenv(LOADER_ENV, "dlopen")
-    native._reset_memo()
-    with pytest.raises(NativeUnavailable, match="unknown REPRO_NATIVE_LOADER"):
-        native.get_resolve_kernel()
+    array_slot = next(
+        i for i, (kind, _name) in enumerate(RESOLVE_ARGS) if kind != "scalar"
+    )
+    for bad in (
+        np.zeros(4, dtype=np.int64)[::2],  # not C-contiguous
+        np.zeros(1, dtype=np.int32),  # not int64
+        [0],  # not an ndarray
+    ):
+        args = _trivial_args()
+        args[array_slot] = bad
+        with pytest.raises(TypeError, match="C-contiguous int64"):
+            handle(*args)
+    with pytest.raises(TypeError, match="arguments"):
+        handle(*_trivial_args()[:-1])
 
 
 def test_escape_hatch_disables(isolated_cache, monkeypatch):
@@ -221,15 +247,17 @@ def test_status_snapshot_shapes(isolated_cache):
 @needs_cc
 def test_no_compiler_falls_back_to_cached_build(isolated_cache, monkeypatch):
     """With the compiler gone, a previously cached .so still loads."""
-    handle = ensure_kernel()
+    built = {name: ensure() for name, (ensure, _s, _w) in KERNELS.items()}
     native._reset_memo()
     monkeypatch.setattr(nb, "find_compiler", lambda: None)
-    cached = ensure_kernel()
-    assert cached.key == handle.key
-    assert _trivial_call(cached) == STATUS_OK
+    for name, (ensure, _subdir, works) in KERNELS.items():
+        cached = ensure()
+        assert cached.key == built[name].key
+        assert works(cached)
 
 
 def test_no_compiler_no_cache_is_unavailable(isolated_cache, monkeypatch):
     monkeypatch.setattr(nb, "find_compiler", lambda: None)
-    with pytest.raises(NativeUnavailable, match="no C compiler"):
-        ensure_kernel()
+    for ensure, _subdir, _works in KERNELS.values():
+        with pytest.raises(NativeUnavailable, match="no C compiler"):
+            ensure()

@@ -13,10 +13,9 @@ row prefix).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.exec import Executor
 from repro.instrument.plan import PLAN_FULL

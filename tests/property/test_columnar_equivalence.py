@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import io
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis import event_based_approximation, time_based_approximation
 from repro.analysis.approximation import AnalysisError

@@ -9,10 +9,9 @@ the same threads and converge to the same degraded result.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.approximation import AnalysisError
 from repro.analysis.eventbased import BACKENDS, event_based_approximation

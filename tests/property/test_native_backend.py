@@ -13,10 +13,9 @@ interpreted fallback.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro import native
 from repro.analysis.approximation import AnalysisError

@@ -18,10 +18,8 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import pytest
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.io import write_trace

@@ -194,25 +194,25 @@ def test_stats_alias(trace_file, capsys):
 
 
 def test_convert_roundtrip(trace_file, tmp_path, capsys):
-    pytest.importorskip("numpy")
     from repro.trace.io import read_trace
 
     packed = str(tmp_path / "toy.rpt")
     back = str(tmp_path / "back.trace")
     assert main(["convert", trace_file, "-o", packed]) == 0
-    # An inferred packed target reports the resolved version, not "rpt"
-    # (which version depends on REPRO_TRACE_FORMAT).
-    out = capsys.readouterr().out
-    assert "(v2)" in out or "(v3)" in out
+    # An inferred packed target reports the written version, not "rpt".
+    assert "(v3)" in capsys.readouterr().out
     assert main(["convert", packed, "-o", back, "--format", "jsonl"]) == 0
     assert "(jsonl)" in capsys.readouterr().out
     original, restored = read_trace(trace_file), read_trace(back)
     assert restored.events == original.events
     assert restored.meta == original.meta
+    # Out-of-range v3 knobs are usage errors, not tracebacks.
+    for knob in (["--chunk-events", "0"], ["--level", "99"]):
+        assert main(["convert", trace_file, "-o", packed] + knob) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_info_and_validate_on_packed_trace(trace_file, tmp_path, capsys):
-    pytest.importorskip("numpy")
     packed = str(tmp_path / "toy.rpt")
     assert main(["convert", trace_file, "-o", packed]) == 0
     capsys.readouterr()
@@ -234,7 +234,6 @@ def test_analyze_cost_scale_flag(trace_file, capsys):
 # --------------------------------------------------------- query + slice
 @pytest.fixture(scope="module")
 def v3_file(trace_file, tmp_path_factory):
-    pytest.importorskip("numpy")
     from repro.trace.io import read_trace
 
     path = tmp_path_factory.mktemp("v3") / "toy.rpt"
@@ -266,7 +265,6 @@ def test_query_limit_reports_hidden(v3_file, capsys):
 
 
 def test_query_works_on_jsonl_too(trace_file, capsys):
-    pytest.importorskip("numpy")
     assert main(["query", trace_file, "--where", "thread == 3", "--count"]) == 0
     out = capsys.readouterr().out
     assert "matched" in out
@@ -295,7 +293,6 @@ def test_slice_by_index_with_output(v3_file, tmp_path, capsys):
 
 
 def test_slice_by_seq_matches_jsonl_path(v3_file, trace_file, capsys):
-    pytest.importorskip("numpy")
     from repro.trace.io import read_trace
 
     seq = read_trace(trace_file).events[50].seq

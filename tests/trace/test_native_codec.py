@@ -9,9 +9,8 @@ that environment exercises.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.trace import _native_codec as native_codec
 from repro.trace.codec import CodecError, decode_column, encode_column

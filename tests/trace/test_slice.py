@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.exec import Executor
 from repro.instrument.plan import PLAN_FULL

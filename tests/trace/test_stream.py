@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis import time_based_approximation
 from repro.analysis.approximation import AnalysisError
@@ -27,7 +26,7 @@ from repro.trace.stream import (
 )
 from repro.trace.trace import Trace, TraceError
 
-from tests.conftest import build_toy_doacross
+from tests.conftest import build_toy_doacross, write_v2_trace
 
 CONSTANTS = calibrate_analysis_constants(FX80, InstrumentationCosts())
 
@@ -106,7 +105,7 @@ def test_chunk_reader_truncation(measured, v3_file):
 
 def test_chunk_reader_rejects_v2(measured, tmp_path):
     path = tmp_path / "m.rpt"
-    write_trace(measured, path, format="v2")
+    write_v2_trace(measured, path)
     with pytest.raises(TraceError, match="convert"):
         ChunkReader(path)
 
