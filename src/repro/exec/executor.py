@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
+import numpy as np
+
 from repro.exec.result import CESnapshot, ExecutionResult, SyncVarStats
 from repro.instrument.costs import InstrumentationCosts
 from repro.instrument.plan import InstrumentationPlan
@@ -60,7 +62,13 @@ from repro.ir.validate import validate_program
 from repro.machine.costs import MachineConfig, FX80
 from repro.machine.machine import Machine
 from repro.sim.engine import AllOf, Timeout
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.columnar import (
+    COLUMN_NAMES,
+    NONE_SENTINEL,
+    StringTable,
+    TraceColumns,
+)
+from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.trace import Trace
 
 
@@ -164,16 +172,18 @@ class _Run:
         # streams (distinct executions), but the same plan+seed reproduces.
         stream = 1 if self.logical else 2
         self.machine = Machine(self.cfg, seed=(executor.seed * 1_000_003 + stream))
-        self.events: list[TraceEvent] = []
+        self.engine = self.machine.engine
+        # The trace is recorded straight into columns: one flat row of
+        # ``COLUMN_NAMES`` values per event, strings interned in
+        # first-seen (= recording) order, converted once at the end.
+        self._rows: list[int] = []
+        self._sync_vars = StringTable()
+        self._labels = StringTable()
         self._seq = 0
         self.assignments: dict[str, dict[int, int]] = {}
         self._barrier_gen: dict[str, int] = {}
 
     # -------------------------------------------------------------- helpers
-    @property
-    def engine(self):
-        return self.machine.engine
-
     @property
     def costs(self):
         return self.cfg.costs
@@ -189,21 +199,36 @@ class _Run:
         label: str = "",
         overhead: int = 0,
     ) -> None:
-        self.events.append(
-            TraceEvent(
-                time=self.engine.now,
-                thread=ce_id,
-                kind=kind,
-                eid=stmt.eid if stmt is not None else -1,
-                seq=self._seq,
-                iteration=iteration,
-                sync_var=sync_var,
-                sync_index=sync_index,
-                label=label or (stmt.label if stmt is not None else ""),
-                overhead=overhead,
-            )
-        )
+        if stmt is not None:
+            eid = stmt.eid
+            label = label or stmt.label
+        else:
+            eid = -1
+        self._rows.extend((
+            self.engine.now,
+            ce_id,
+            KIND_CODE[kind],
+            eid,
+            self._seq,
+            NONE_SENTINEL if iteration is None else iteration,
+            NONE_SENTINEL if sync_index is None else sync_index,
+            overhead,
+            self._sync_vars.intern(sync_var),
+            self._labels.intern(label) if label else -1,
+        ))
         self._seq += 1
+
+    def _columns(self) -> TraceColumns:
+        """The recorded rows as one column block (a single numpy pass)."""
+        rows, self._rows = self._rows, []
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMN_NAMES))
+        del rows  # release the per-value int objects before the copy
+        table = np.ascontiguousarray(table.T)
+        return TraceColumns(
+            **dict(zip(COLUMN_NAMES, table)),
+            sync_var_table=self._sync_vars.strings,
+            label_table=self._labels.strings,
+        )
 
     def _probe(
         self,
@@ -625,7 +650,9 @@ class _Run:
             # Declared capacities are program knowledge the tracer records;
             # the semaphore analysis rule needs them.
             meta["semaphores"] = dict(self.program.semaphores)
-        trace = Trace(self.events, meta=meta)
+        # Rows are recorded in (time, seq) order, so this never re-sorts;
+        # ``trace.events`` is materialized only if a caller walks objects.
+        trace = Trace.from_columns(self._columns(), meta=meta)
         ce_stats = [
             CESnapshot(
                 ce_id=ce.ce_id,

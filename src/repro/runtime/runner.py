@@ -166,10 +166,11 @@ def simulate_many(
 ) -> list[ExecutionResult]:
     """Execute specs, in order, fanning cache misses out over processes.
 
-    Returns one result per spec, aligned with the input (duplicates
-    allowed — they simulate once).  With ``jobs == 1`` (the default
-    context) everything runs in this process, byte-identical to calling
-    :func:`simulate` in a loop.
+    Returns one result per spec, aligned with the input.  Duplicates are
+    allowed: each distinct spec is looked up, and on a miss simulated,
+    exactly once.  With ``jobs == 1`` (the default context) everything
+    runs in this process, byte-identical to calling :func:`simulate` in a
+    loop.
     """
     ctx = context if context is not None else get_context()
     n_jobs = ctx.jobs if jobs is None else max(1, int(jobs))
@@ -180,7 +181,7 @@ def simulate_many(
         misses: list[RunSpec] = []
         with obs.span("runtime.simulate_many.probe_cache"):
             for spec in specs:
-                if spec in results:
+                if spec in keys:  # a repeat: its first occurrence decides
                     continue
                 cached, key = _load_cached(spec, ctx.cache)
                 keys[spec] = key

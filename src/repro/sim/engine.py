@@ -227,20 +227,52 @@ class Process(_Effect):
         if self._done:
             return
         self._waiting_on = None
-        try:
-            if isinstance(send_value, BaseException):
-                effect = self._gen.throw(send_value)
-            else:
-                effect = self._gen.send(send_value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
-            return
-        except Interrupt:
-            # An interrupt escaped the generator: treat as clean termination.
-            self._finish(None, None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - deliberate trap
-            self._finish(None, exc)
+        engine = self.engine
+        gen = self._gen
+        queue = engine._queue
+        while True:
+            try:
+                if isinstance(send_value, BaseException):
+                    effect = gen.throw(send_value)
+                else:
+                    effect = gen.send(send_value)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except Interrupt:
+                # An interrupt escaped the generator: treat as clean termination.
+                self._finish(None, None)
+                return
+            except BaseException as exc:  # noqa: BLE001 - deliberate trap
+                self._finish(None, exc)
+                return
+            if type(effect) is not Timeout:
+                break
+            # Exact run-ahead: a wake-up strictly earlier than the heap
+            # head (or with the heap empty) is the very next occurrence
+            # the run loop would pop, so resume here without the heap
+            # round trip.  Ties go through the heap to keep (time, seq)
+            # order.  Only ``Engine.run`` opens the window, bounded by
+            # ``until``/``max_cycles`` and ``max_events``; anything else
+            # is pushed for the run loop to pop and check.
+            when = engine.now + effect.delay
+            executed = engine._executed + 1
+            if (
+                (not queue or when < queue[0][0])
+                and when <= engine._horizon
+                and executed < engine._max_executed
+            ):
+                # The occurrence that just yielded is done: count it as the
+                # run loop would have, then start the next one.
+                engine._executed = executed
+                if engine._obs_on and (executed & 0x3FFF) == 0:
+                    engine._heartbeat()
+                engine.now = when
+                send_value = effect.value
+                continue
+            engine._seq += 1
+            heapq.heappush(queue, (when, engine._seq, self._step, effect.value))
+            self._waiting_on = effect
             return
         if not isinstance(effect, _Effect):
             self._finish(
@@ -321,6 +353,13 @@ class Engine:
         self._live_processes = 0
         self._processes: set[Process] = set()
         self._crashes: list[ProcessCrashed] = []
+        # Run-ahead window, opened by :meth:`run` only: the latest wake
+        # time and the occurrence count a process may reach without the
+        # heap.  Closed (0 occurrences) so a bare :meth:`step` runs one.
+        self._horizon: float = -1
+        self._max_executed: float = 0
+        self._executed = 0
+        self._obs_on = False
 
     # -- scheduling ------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[[Any], None], value: Any = None) -> None:
@@ -391,43 +430,71 @@ class Engine:
         :class:`SimulationTimeout` whose message names every still-live
         process and the effect it waits on — unlike ``until``, which
         pauses cleanly, a budget overrun is an error (livelock guard).
+
+        A process whose ``Timeout`` wakes strictly before every queued
+        occurrence resumes without a heap round trip (run-ahead, see
+        :meth:`Process._step`).  Each such step counts as one executed
+        occurrence and never passes ``until`` or ``max_cycles``, so
+        results, ``now`` and the watchdogs are exactly those of a
+        heap-only run.
         """
-        executed = 0
+        inf = float("inf")
+        limit = min(
+            inf if until is None else until,
+            inf if max_cycles is None else max_cycles,
+        )
+        max_executed = inf if max_events is None else max_events
+        queue = self._queue
+        pop = heapq.heappop
+        pops = 0
         # One flag read up front: per-occurrence obs cost is a single
         # boolean test plus a mask check (heartbeat gauges for watchdog
         # triage; granular spans here would perturb what we measure).
-        obs_on = obs.enabled()
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                self.now = until
-                break
-            if max_cycles is not None and self._queue[0][0] > max_cycles:
-                if obs_on:
-                    obs.count("sim.watchdog.max_cycles")
-                raise SimulationTimeout(
-                    f"simulation exceeded max_cycles={max_cycles} (next "
-                    f"occurrence at t={self._queue[0][0]}); live processes:\n"
-                    + self._format_blocked(),
-                    tuple(self.blocked_processes()),
-                )
-            if max_events is not None and executed >= max_events:
-                if obs_on:
-                    obs.count("sim.watchdog.max_events")
-                raise SimulationTimeout(
-                    f"simulation exceeded max_events={max_events} at "
-                    f"t={self.now}; live processes:\n" + self._format_blocked(),
-                    tuple(self.blocked_processes()),
-                )
-            self.step()
-            executed += 1
-            if obs_on and (executed & 0x3FFF) == 0:  # every 16384 occurrences
-                obs.gauge("sim.engine.occurrences", executed)
-                obs.gauge("sim.engine.now", self.now)
-            if self._crashes:
-                raise self._crashes[0]
+        obs_on = self._obs_on = obs.enabled()
+        self._executed = 0
+        self._horizon = limit
+        self._max_executed = max_executed
+        try:
+            while queue:
+                when = queue[0][0]
+                if when > limit:
+                    if until is not None and when > until:
+                        self.now = until
+                        break
+                    if obs_on:
+                        obs.count("sim.watchdog.max_cycles")
+                    raise SimulationTimeout(
+                        f"simulation exceeded max_cycles={max_cycles} (next "
+                        f"occurrence at t={when}); live processes:\n"
+                        + self._format_blocked(),
+                        tuple(self.blocked_processes()),
+                    )
+                if self._executed >= max_executed:
+                    if obs_on:
+                        obs.count("sim.watchdog.max_events")
+                    raise SimulationTimeout(
+                        f"simulation exceeded max_events={max_events} at "
+                        f"t={self.now}; live processes:\n" + self._format_blocked(),
+                        tuple(self.blocked_processes()),
+                    )
+                _when, _seq, callback, value = pop(queue)
+                pops += 1
+                self.now = when
+                callback(value)
+                self._executed += 1
+                if obs_on and (self._executed & 0x3FFF) == 0:
+                    self._heartbeat()
+                if self._crashes:
+                    raise self._crashes[0]
+        finally:
+            self._horizon = -1
+            self._max_executed = 0
+            if obs_on:
+                # Once per run, so a sweep's manifest sums them.
+                obs.count("sim.engine.heap_pops", pops)
+                obs.count("sim.engine.run_ahead", self._executed - pops)
         if obs_on:
-            obs.gauge("sim.engine.occurrences", executed)
-            obs.gauge("sim.engine.now", self.now)
+            self._heartbeat()
         if until is None and self._live_processes > 0:
             obs.count("sim.engine.deadlock")
             raise SimulationDeadlock(
@@ -436,6 +503,11 @@ class Engine:
                 tuple(self.blocked_processes()),
             )
         return self.now
+
+    def _heartbeat(self) -> None:
+        """Watchdog-triage gauges (every 16384 occurrences and at the end)."""
+        obs.gauge("sim.engine.occurrences", self._executed)
+        obs.gauge("sim.engine.now", self.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Engine(now={self.now}, pending={len(self._queue)})"

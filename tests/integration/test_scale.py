@@ -31,14 +31,24 @@ def test_large_trace_pipeline(constants):
 def test_analysis_scales_linearly(constants):
     """Event resolution is near-linear in trace size: 4x the events must
     not cost more than ~10x the time (allows constant overheads)."""
+    import gc
     import time as _t
 
     def analysis_time(trips: int) -> tuple[int, float]:
         prog = doacross_program(3, trips=trips)
         measured = Executor(seed=1).run(prog, PLAN_FULL)
-        t0 = _t.perf_counter()
-        event_based_approximation(measured.trace, constants)
-        return len(measured.trace), _t.perf_counter() - t0
+        # A full collection landing inside one timed call, but not the
+        # other, can swamp a small call's time: collect first, then keep
+        # the collector out of the timed window.
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = _t.perf_counter()
+            event_based_approximation(measured.trace, constants)
+            elapsed = _t.perf_counter() - t0
+        finally:
+            gc.enable()
+        return len(measured.trace), elapsed
 
     n_small, t_small = analysis_time(500)
     n_big, t_big = analysis_time(2000)

@@ -95,6 +95,26 @@ def test_sim_engine_reports_heartbeat_gauges(full_trace):
     assert "sim.engine.now" in snap.gauges
 
 
+def test_sim_engine_counts_heap_pops_and_run_ahead():
+    from repro.exec import Executor
+    from repro.instrument.plan import PLAN_FULL, PLAN_NONE
+
+    core.enable(buffer_size=4096)
+    occurrences = 0
+    for plan in (PLAN_NONE, PLAN_FULL):
+        Executor(seed=3).run(build_toy_doacross(trips=16), plan)
+        occurrences += core.snapshot().gauges["sim.engine.occurrences"]
+    counters = core.snapshot().counters
+    # Counted once per run, so two runs sum: every occurrence was either
+    # popped off the heap or resolved by run-ahead, never both.
+    assert counters["sim.engine.heap_pops"] > 0
+    assert counters["sim.engine.run_ahead"] > 0
+    assert (
+        counters["sim.engine.heap_pops"] + counters["sim.engine.run_ahead"]
+        == occurrences
+    )
+
+
 def test_quarantine_records_counters(full_trace, constants):
     from repro.analysis.eventbased import event_based_approximation
     from repro.trace.trace import Trace

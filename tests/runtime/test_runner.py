@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
 from repro.runtime import (
     ArtifactCache,
     RuntimeContext,
@@ -10,6 +14,7 @@ from repro.runtime import (
     simulate,
     simulate_many,
 )
+from repro.runtime import runner
 from repro.runtime.runner import _env_context
 
 from tests.runtime.conftest import assert_results_equal, make_actual_spec, make_spec
@@ -34,6 +39,27 @@ def test_simulate_many_preserves_order_and_dedups():
     assert results[0] is results[2]  # one simulation for duplicate specs
     assert_results_equal(results[0], execute_spec(a))
     assert_results_equal(results[1], execute_spec(b))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_many_simulates_each_distinct_miss_once(monkeypatch, jobs):
+    a, b, c = (make_spec(trips=8, seed=1991 + i) for i in range(3))
+    specs = [a, b, a, c, b, a]
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return execute_spec(spec)
+
+    monkeypatch.setattr(runner, "execute_spec", counting)
+    # Fan out over threads: the pool path runs, and the counter sees it.
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", ThreadPoolExecutor)
+    results = simulate_many(specs, jobs=jobs)
+    assert sorted(calls, key=specs.index) == [a, b, c]
+    assert len(results) == len(specs)
+    for spec, result in zip(specs, results):
+        assert result is results[specs.index(spec)]
+        assert_results_equal(result, execute_spec(spec))
 
 
 def test_parallel_results_identical_to_serial():

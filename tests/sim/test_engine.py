@@ -481,3 +481,146 @@ def test_process_named_from_generator():
     p = eng.process(my_proc())
     assert p.name == "my_proc"
     eng.run()
+
+
+# -- run-ahead ---------------------------------------------------------------
+# A Timeout that wakes strictly before the heap head resumes without a
+# heap round trip.  These cases pin that the shortcut is invisible: the
+# watchdogs, ``until`` and tie order see exactly the heap-only sequence.
+
+
+def _staggered(eng, log):
+    """A ticks every cycle to t=10; B wakes at 5 and 105.
+
+    Heap-only occurrence order, worked by hand (B's t=5 wake was queued
+    before A's, so it wins the tie at t=5):
+    A@0 B@0 A@1 A@2 A@3 A@4 B@5 A@5 A@6 A@7 A@8 A@9 A@10 B@105.
+    A@1..A@4 and A@6..A@10 are run-ahead steps.
+    """
+
+    def ticker():
+        for _ in range(10):
+            log.append(("A", eng.now))
+            yield Timeout(1)
+        log.append(("A", eng.now))
+
+    def sleeper():
+        log.append(("B", eng.now))
+        yield Timeout(5)
+        log.append(("B", eng.now))
+        yield Timeout(100)
+        log.append(("B", eng.now))
+
+    eng.process(ticker(), name="A")
+    eng.process(sleeper(), name="B")
+
+
+HEAP_ONLY_ORDER = [
+    ("A", 0), ("B", 0), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 5),
+    ("A", 5), ("A", 6), ("A", 7), ("A", 8), ("A", 9), ("A", 10), ("B", 105),
+]
+
+
+def test_run_ahead_keeps_heap_only_order():
+    eng, log = Engine(), []
+    _staggered(eng, log)
+    assert eng.run() == 105
+    assert log == HEAP_ONLY_ORDER
+
+
+@pytest.mark.parametrize(
+    "budget, now", [(1, 0), (2, 0), (3, 1), (5, 3), (6, 4), (7, 5), (10, 7), (13, 10)]
+)
+def test_max_events_counts_run_ahead_steps(budget, now):
+    eng, log = Engine(), []
+    _staggered(eng, log)
+    with pytest.raises(SimulationTimeout) as exc:
+        eng.run(max_events=budget)
+    assert eng.now == now
+    assert f"max_events={budget} at t={now};" in str(exc.value)
+    assert log == HEAP_ONLY_ORDER[:budget]
+
+
+def test_max_events_equal_to_total_completes():
+    eng, log = Engine(), []
+    _staggered(eng, log)
+    assert eng.run(max_events=len(HEAP_ONLY_ORDER)) == 105
+
+
+def test_run_until_stops_run_ahead_at_the_horizon():
+    eng, log = Engine(), []
+
+    def stride():
+        while eng.now < 30:
+            log.append(eng.now)
+            yield Timeout(3)
+
+    eng.process(stride(), name="stride")
+    assert eng.run(until=7) == 7
+    assert eng.now == 7
+    assert log == [0, 3, 6]  # nothing resumed past t=7
+    assert eng.run(until=9) == 9
+    assert log == [0, 3, 6, 9]  # t == until still runs
+    eng.run()
+    assert log == list(range(0, 30, 3))
+
+
+def test_max_cycles_never_overshot_by_run_ahead():
+    eng, log = Engine(), []
+
+    def spinner():
+        while True:
+            log.append(eng.now)
+            yield Timeout(7)
+
+    eng.process(spinner(), name="spinner")
+    with pytest.raises(SimulationTimeout) as exc:
+        # The event budget only keeps a broken horizon from spinning forever.
+        eng.run(max_cycles=50, max_events=1000)
+    assert log == list(range(0, 50, 7))  # last resume at t=49
+    assert eng.now == 49
+    assert "next occurrence at t=56" in str(exc.value)
+    assert "waiting on Timeout(7)" in str(exc.value)
+
+
+def test_zero_timeout_tie_resumes_in_insertion_order():
+    eng, order = Engine(), []
+
+    def first():
+        order.append("first@start")
+        eng.schedule(0, lambda _: order.append("callback"))
+        yield Timeout(0)  # ties with the callback queued just before
+        order.append("first@resume")
+
+    def second():
+        order.append("second@start")
+        yield Timeout(0)
+        order.append("second@resume")
+
+    eng.process(first())
+    eng.process(second())
+    eng.run()
+    assert order == [
+        "first@start", "second@start", "callback", "first@resume",
+        "second@resume",
+    ]
+
+
+def test_step_outside_run_executes_one_occurrence():
+    eng, log = Engine(), []
+
+    def ticker():
+        while True:
+            log.append(eng.now)
+            yield Timeout(1)
+
+    eng.process(ticker())
+    eng.step()
+    eng.step()
+    assert log == [0, 1]
+    assert eng.now == 1
+    # A finished run closes the run-ahead window again.
+    assert eng.run(until=3) == 3
+    eng.step()
+    assert log == [0, 1, 2, 3, 4]
+    assert eng.now == 4
