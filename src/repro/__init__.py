@@ -33,85 +33,46 @@ Quickstart::
     print(approx.total_time / actual.total_time)    # recovered ~1.0
 """
 
-from repro.analysis import (
-    Approximation,
-    AnalysisError,
-    ExecutionRatios,
-    compare_ratios,
-    event_based_approximation,
-    liberal_approximation,
-    per_event_errors,
-    percent_error,
-    time_based_approximation,
-)
-from repro.exec import ExecutionResult, Executor, PerturbationConfig
-from repro.instrument import (
-    AnalysisConstants,
-    Detail,
-    InstrumentationCosts,
-    InstrumentationPlan,
-    calibrate_analysis_constants,
-    instrument_program,
-    probe_count,
-)
-from repro.instrument.plan import (
-    PLAN_FULL,
-    PLAN_NONE,
-    PLAN_STATEMENTS,
-    PLAN_SYNC_ONLY,
-)
-from repro.ir import (
-    DoAcrossLoop,
-    DoAllLoop,
-    Program,
-    ProgramBuilder,
-    Schedule,
-    SequentialLoop,
-    loop_body,
-)
-from repro.machine import MachineConfig
-from repro.machine.costs import FX80
-from repro.trace import Trace, TraceEvent, EventKind, read_trace, write_trace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Approximation",
-    "AnalysisError",
-    "ExecutionRatios",
-    "compare_ratios",
-    "event_based_approximation",
-    "liberal_approximation",
-    "per_event_errors",
-    "percent_error",
-    "time_based_approximation",
-    "ExecutionResult",
-    "Executor",
-    "PerturbationConfig",
-    "AnalysisConstants",
-    "Detail",
-    "InstrumentationCosts",
-    "InstrumentationPlan",
-    "calibrate_analysis_constants",
-    "instrument_program",
-    "probe_count",
-    "PLAN_FULL",
-    "PLAN_NONE",
-    "PLAN_STATEMENTS",
-    "PLAN_SYNC_ONLY",
-    "DoAcrossLoop",
-    "DoAllLoop",
-    "Program",
-    "ProgramBuilder",
-    "Schedule",
-    "SequentialLoop",
-    "loop_body",
-    "MachineConfig",
-    "FX80",
-    "Trace",
-    "TraceEvent",
-    "EventKind",
-    "read_trace",
-    "write_trace",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.approximation": ("Approximation", "AnalysisError"),
+    "repro.analysis.errors": (
+        "ExecutionRatios",
+        "compare_ratios",
+        "per_event_errors",
+        "percent_error",
+    ),
+    "repro.analysis.eventbased": ("event_based_approximation",),
+    "repro.analysis.reschedule": ("liberal_approximation",),
+    "repro.analysis.timebased": ("time_based_approximation",),
+    "repro.exec.executor": ("Executor",),
+    "repro.exec.perturbation": ("PerturbationConfig",),
+    "repro.exec.result": ("ExecutionResult",),
+    "repro.instrument.costs": ("AnalysisConstants", "InstrumentationCosts"),
+    "repro.instrument.plan": (
+        "Detail",
+        "InstrumentationPlan",
+        "PLAN_FULL",
+        "PLAN_NONE",
+        "PLAN_STATEMENTS",
+        "PLAN_SYNC_ONLY",
+    ),
+    "repro.instrument.calibrate": ("calibrate_analysis_constants",),
+    "repro.instrument.rewrite": ("instrument_program", "probe_count"),
+    "repro.ir.program": (
+        "DoAcrossLoop",
+        "DoAllLoop",
+        "Program",
+        "Schedule",
+        "SequentialLoop",
+    ),
+    "repro.ir.builder": ("ProgramBuilder", "loop_body"),
+    "repro.machine.costs": ("MachineConfig", "FX80"),
+    "repro.trace.trace": ("Trace",),
+    "repro.trace.events": ("TraceEvent", "EventKind"),
+    "repro.trace.io": ("read_trace", "write_trace"),
+})
+__all__.append("__version__")

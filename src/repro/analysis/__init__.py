@@ -17,36 +17,13 @@ uninstrumented ground truth is used solely for scoring
 (:mod:`repro.analysis.errors`).
 """
 
-from repro.analysis.approximation import (
-    Approximation,
-    AnalysisError,
-    POLICIES,
-    check_policy,
-)
-from repro.analysis.timebased import time_based_approximation
-from repro.analysis.eventbased import ResolutionError, event_based_approximation
-from repro.analysis.errors import (
-    ExecutionRatios,
-    compare_ratios,
-    percent_error,
-    per_event_errors,
-)
-from repro.analysis.reschedule import liberal_approximation
-from repro.analysis.auto import auto_approximation, AutoResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "auto_approximation",
-    "AutoResult",
-    "Approximation",
-    "AnalysisError",
-    "ResolutionError",
-    "POLICIES",
-    "check_policy",
-    "time_based_approximation",
-    "event_based_approximation",
-    "liberal_approximation",
-    "ExecutionRatios",
-    "compare_ratios",
-    "percent_error",
-    "per_event_errors",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".auto": ("auto_approximation", "AutoResult"),
+    ".approximation": ("Approximation", "AnalysisError", "POLICIES", "check_policy"),
+    ".eventbased": ("ResolutionError", "event_based_approximation"),
+    ".timebased": ("time_based_approximation",),
+    ".reschedule": ("liberal_approximation",),
+    ".errors": ("ExecutionRatios", "compare_ratios", "percent_error", "per_event_errors"),
+})

@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.analysis.approximation import Approximation
-from repro.trace.events import EventKind
+from repro.trace.columnar import TraceColumns
+from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.trace import Trace
 
 
@@ -106,25 +109,50 @@ def per_event_errors(
     only one trace (e.g. probes of structural markers not in the other
     plan's vocabulary) are skipped; the fraction matched is reported via
     ``n_matched``.
+
+    Runs on ``trace.columns``: both traces' rows are sorted together by
+    key (stably, so equal keys stay in trace order, approximation rows
+    first), and within each key the k-th approximation row pairs with the
+    k-th actual row.  No event objects are built.  The diffs are summed as
+    Python ints, so every statistic is exact.
     """
+    a_cols = _selected(approx.trace.columns, kinds)
+    b_cols = _selected(actual.columns, kinds)
+    n_a = len(a_cols)
+    if not n_a or not len(b_cols):
+        return EventErrorStats(0, 0.0, 0, 0.0, 0.0)
 
-    def keyed(trace_events):
-        counters: dict[tuple, int] = {}
-        out = {}
-        for e in trace_events:
-            base = (e.thread, e.eid, e.iteration, e.kind, e.sync_var, e.sync_index)
-            n = counters.get(base, 0)
-            counters[base] = n + 1
-            out[base + (n,)] = e
-        return out
+    def both(name: str):
+        return np.concatenate([getattr(a_cols, name), getattr(b_cols, name)])
 
-    wanted = kinds
-    a_events = [e for e in approx.trace if wanted is None or e.kind in wanted]
-    b_events = [e for e in actual if wanted is None or e.kind in wanted]
-    amap = keyed(a_events)
-    bmap = keyed(b_events)
+    # The two traces intern sync-variable names in their own orders.
+    union: dict[str, int] = {}
+    sync_var = np.concatenate([
+        _reinterned(a_cols.sync_var, a_cols.sync_var_table, union),
+        _reinterned(b_cols.sync_var, b_cols.sync_var_table, union),
+    ])
+    keys = [both("sync_index"), sync_var, both("kind"), both("iteration"),
+            both("eid"), both("thread")]
+    order = np.lexsort(keys)  # stable: trace order within a key
+    changed = np.zeros(len(order), dtype=bool)
+    changed[0] = True
+    for key in keys:
+        k = key[order]
+        changed[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(changed)
+    sizes = np.diff(np.append(starts, len(order)))
+    from_a = np.add.reduceat((order < n_a).astype(np.int64), starts)
+    pairs = np.minimum(from_a, sizes - from_a)
+    # Row i of group g pairs approximation row starts[g] + i with actual
+    # row starts[g] + from_a[g] + i, for i < pairs[g].
+    group = np.repeat(np.arange(len(starts)), pairs)
+    rank = np.arange(len(group)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    first = starts[group] + rank
+    a_rows = order[first]
+    b_rows = order[first + from_a[group]] - n_a
     diffs = [
-        amap[k].time - bmap[k].time for k in amap.keys() & bmap.keys()
+        ta - tb
+        for ta, tb in zip(a_cols.time[a_rows].tolist(), b_cols.time[b_rows].tolist())
     ]
     if not diffs:
         return EventErrorStats(0, 0.0, 0, 0.0, 0.0)
@@ -136,3 +164,19 @@ def per_event_errors(
         mean_signed_error=sum(diffs) / len(diffs),
         rms_error=math.sqrt(sum(d * d for d in diffs) / len(diffs)),
     )
+
+
+def _selected(cols: TraceColumns, kinds: Optional[set[EventKind]]) -> TraceColumns:
+    """The rows of ``cols`` whose kind is in ``kinds`` (all if None)."""
+    if kinds is None:
+        return cols
+    codes = [KIND_CODE[k] for k in kinds]
+    return cols.take(np.flatnonzero(np.isin(cols.kind, codes)))
+
+
+def _reinterned(codes, table: tuple[str, ...], union: dict[str, int]):
+    """``codes`` (indices into ``table``, -1 for None) as ``union`` ids."""
+    lookup = np.array(
+        [union.setdefault(s, len(union)) for s in table] + [-1], dtype=np.int64
+    )
+    return lookup[codes]

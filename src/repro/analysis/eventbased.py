@@ -34,7 +34,7 @@ scheduling effects conservative analysis cannot see (see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.approximation import (
     AnalysisError,
@@ -44,14 +44,12 @@ from repro.analysis.approximation import (
 )
 from repro.instrument.costs import AnalysisConstants
 from repro.obs import core as obs
-from repro.resilience.repair import (
-    RepairReport,
-    quarantine_threads,
-    repair_trace,
-)
-from repro.resilience.validate import Diagnostic, validate_trace
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.repair import RepairReport
+    from repro.resilience.validate import Diagnostic
 
 #: Analysis backends accepted by :func:`event_based_approximation`,
 #: fastest first; ``"auto"`` picks the first one available here.
@@ -429,6 +427,9 @@ def event_based_approximation(
     diagnostics: list[Diagnostic] = []
     report: Optional[RepairReport] = None
     if policy != "strict":
+        from repro.resilience.repair import repair_trace
+        from repro.resilience.validate import validate_trace
+
         with obs.span("analysis.eventbased.repair", policy=policy):
             diagnostics = validate_trace(measured)
             result = repair_trace(measured, mode=policy)
@@ -463,6 +464,8 @@ def event_based_approximation(
                     raise
                 obs.count("analysis.quarantine.rounds")
                 obs.count("analysis.quarantine.threads", len(bad_threads))
+                from repro.resilience.repair import quarantine_threads
+
                 result = quarantine_threads(measured, bad_threads, report)
                 measured = result.trace
                 if not len(measured):

@@ -18,7 +18,7 @@ instrumentation *caused* is not removed (loop 17 → over-approximation).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.approximation import (
     AnalysisError,
@@ -28,10 +28,12 @@ from repro.analysis.approximation import (
 )
 from repro.instrument.costs import AnalysisConstants, InstrumentationCosts
 from repro.obs import core as obs
-from repro.resilience.repair import RepairReport, repair_trace
-from repro.resilience.validate import Diagnostic, validate_trace
 from repro.trace import columnar as _columnar
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.repair import RepairReport
+    from repro.resilience.validate import Diagnostic
 
 #: Analysis backends accepted by :func:`time_based_approximation`.
 BACKENDS = ("auto", "columnar", "object", "streaming")
@@ -169,6 +171,9 @@ def time_based_approximation(
     diagnostics: list[Diagnostic] = []
     report: Optional[RepairReport] = None
     if policy != "strict":
+        from repro.resilience.repair import repair_trace
+        from repro.resilience.validate import validate_trace
+
         diagnostics = validate_trace(measured)
         result = repair_trace(measured, mode=policy)
         measured, report = result.trace, result.report

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from repro.analysis.approximation import AnalysisError
 from repro.analysis.eventbased import BACKENDS as ANALYSIS_BACKENDS
 from repro.analysis.eventbased import configure_backend
-from repro.exec import PerturbationConfig
+from repro.exec.perturbation import PerturbationConfig
 from repro.experiments import (
     DEFAULT_CONFIG,
     ExperimentConfig,
@@ -89,6 +89,17 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ppopp91",
@@ -124,7 +135,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="reduced loop lengths (fast)"
     )
     parser.add_argument(
-        "--trips", type=int, default=None, help="override loop trip counts"
+        "--trips", type=_positive_int, default=None,
+        help="override loop trip counts",
     )
     parser.add_argument("--seed", type=int, default=None, help="machine noise seed")
     parser.add_argument(
@@ -133,7 +145,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="disable ancillary perturbation (jitter/dilation); approximations become exact",
     )
     parser.add_argument(
-        "--width", type=int, default=72, help="chart width in characters"
+        "--width", type=_positive_int, default=72,
+        help="chart width in characters",
     )
     parser.add_argument(
         "--jobs",

@@ -7,13 +7,10 @@ observable only because this is a simulator) or a *measured* trace
 applied).
 """
 
-from repro.exec.executor import Executor, PerturbationConfig
-from repro.exec.result import ExecutionResult, CESnapshot, SyncVarStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Executor",
-    "PerturbationConfig",
-    "ExecutionResult",
-    "CESnapshot",
-    "SyncVarStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".executor": ("Executor",),
+    ".perturbation": ("PerturbationConfig",),
+    ".result": ("ExecutionResult", "CESnapshot", "SyncVarStats"),
+})

@@ -31,11 +31,11 @@ memory behaviour, bounding achievable accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 import numpy as np
 
+from repro.exec.perturbation import PerturbationConfig
 from repro.exec.result import CESnapshot, ExecutionResult, SyncVarStats
 from repro.instrument.costs import InstrumentationCosts
 from repro.instrument.plan import InstrumentationPlan
@@ -70,31 +70,6 @@ from repro.trace.columnar import (
 )
 from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.trace import Trace
-
-
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """Ancillary (non-probe) perturbation applied to instrumented runs.
-
-    Attributes
-    ----------
-    dilation:
-        Fractional slowdown applied to memory-referencing statements when
-        any instrumentation is active (probe buffer traffic polluting the
-        cache).  Unknown to the analysis.
-    jitter:
-        Fractional, deterministic pseudo-random variation of statement
-        costs (memory/bus contention noise), applied to *all* runs with
-        per-run streams.  Makes the measured and actual interleavings
-        genuinely different, like on real hardware.
-    """
-
-    dilation: float = 0.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.dilation < 0 or self.jitter < 0:
-            raise ValueError("perturbation fractions must be >= 0")
 
 
 class Executor:

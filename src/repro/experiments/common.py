@@ -12,7 +12,8 @@ from repro.analysis import (
     liberal_approximation,
     time_based_approximation,
 )
-from repro.exec import ExecutionResult, Executor, PerturbationConfig
+from repro.exec.perturbation import PerturbationConfig
+from repro.exec.result import ExecutionResult
 from repro.instrument import (
     AnalysisConstants,
     InstrumentationCosts,
@@ -96,15 +97,6 @@ DEFAULT_CONFIG = ExperimentConfig()
 #: Reduced loop lengths for fast test/bench runs; ratios are insensitive
 #: to trip count once startup is amortized.
 QUICK_CONFIG = DEFAULT_CONFIG.quick()
-
-
-def _executor(config: ExperimentConfig, seed_salt: int) -> Executor:
-    return Executor(
-        machine_config=config.machine,
-        inst_costs=config.costs,
-        perturb=config.perturb,
-        seed=config.seed + seed_salt,
-    )
 
 
 @dataclass

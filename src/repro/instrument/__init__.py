@@ -9,17 +9,11 @@ synchronization processing constants (``s_nowait``, ``s_wait``, barrier
 release cost) the perturbation analysis needs as input.
 """
 
-from repro.instrument.costs import InstrumentationCosts, AnalysisConstants
-from repro.instrument.plan import InstrumentationPlan, Detail
-from repro.instrument.calibrate import calibrate_analysis_constants
-from repro.instrument.rewrite import instrument_program, probe_count
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InstrumentationCosts",
-    "AnalysisConstants",
-    "InstrumentationPlan",
-    "Detail",
-    "calibrate_analysis_constants",
-    "instrument_program",
-    "probe_count",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".costs": ("InstrumentationCosts", "AnalysisConstants"),
+    ".plan": ("InstrumentationPlan", "Detail"),
+    ".calibrate": ("calibrate_analysis_constants",),
+    ".rewrite": ("instrument_program", "probe_count"),
+})

@@ -8,53 +8,31 @@ dependences are expressed as ``advance`` / ``await`` statements (the form the
 Alliant FX Fortran compiler produced for the Livermore loops).
 """
 
-from repro.ir.statements import (
-    Statement,
-    Compute,
-    Advance,
-    Await,
-    LockAcquire,
-    LockRelease,
-    SemWait,
-    SemSignal,
-    CostFn,
-)
-from repro.ir.program import (
-    Block,
-    Loop,
-    SequentialLoop,
-    DoAllLoop,
-    DoAcrossLoop,
-    Program,
-    ProgramError,
-    Schedule,
-)
-from repro.ir.builder import ProgramBuilder, loop_body
-from repro.ir.dependence import Dependence, loop_dependences, max_distance
-from repro.ir.validate import validate_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Statement",
-    "Compute",
-    "Advance",
-    "Await",
-    "LockAcquire",
-    "LockRelease",
-    "SemWait",
-    "SemSignal",
-    "CostFn",
-    "Block",
-    "Loop",
-    "SequentialLoop",
-    "DoAllLoop",
-    "DoAcrossLoop",
-    "Program",
-    "ProgramError",
-    "Schedule",
-    "ProgramBuilder",
-    "loop_body",
-    "Dependence",
-    "loop_dependences",
-    "max_distance",
-    "validate_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".statements": (
+        "Statement",
+        "Compute",
+        "Advance",
+        "Await",
+        "LockAcquire",
+        "LockRelease",
+        "SemWait",
+        "SemSignal",
+        "CostFn",
+    ),
+    ".program": (
+        "Block",
+        "Loop",
+        "SequentialLoop",
+        "DoAllLoop",
+        "DoAcrossLoop",
+        "Program",
+        "ProgramError",
+        "Schedule",
+    ),
+    ".builder": ("ProgramBuilder", "loop_body"),
+    ".dependence": ("Dependence", "loop_dependences", "max_distance"),
+    ".validate": ("validate_program",),
+})

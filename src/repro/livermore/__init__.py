@@ -12,48 +12,25 @@ Two views of the 24 kernels:
   perturbation experiments.
 """
 
-from repro.livermore.data import LFKData, standard_data, STANDARD_TRIPS
-from repro.livermore.kernels import (
-    KERNELS,
-    kernel,
-    run_kernel,
-    kernel_checksum,
-)
-from repro.livermore.classify import (
-    KernelClass,
-    classify,
-    CLASSIFICATION,
-    doacross_kernels,
-    figure1_kernels,
-)
-from repro.livermore.programs import (
-    livermore_program,
-    sequential_program,
-    vector_program,
-    doall_program,
-    doacross_program,
-    statement_specs,
-    LoopCostModel,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LFKData",
-    "standard_data",
-    "STANDARD_TRIPS",
-    "KERNELS",
-    "kernel",
-    "run_kernel",
-    "kernel_checksum",
-    "KernelClass",
-    "classify",
-    "CLASSIFICATION",
-    "doacross_kernels",
-    "figure1_kernels",
-    "livermore_program",
-    "sequential_program",
-    "vector_program",
-    "doall_program",
-    "doacross_program",
-    "statement_specs",
-    "LoopCostModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".data": ("LFKData", "standard_data", "STANDARD_TRIPS"),
+    ".kernels": ("KERNELS", "kernel", "run_kernel", "kernel_checksum"),
+    ".classify": (
+        "KernelClass",
+        "classify",
+        "CLASSIFICATION",
+        "doacross_kernels",
+        "figure1_kernels",
+    ),
+    ".programs": (
+        "livermore_program",
+        "sequential_program",
+        "vector_program",
+        "doall_program",
+        "doacross_program",
+        "statement_specs",
+        "LoopCostModel",
+    ),
+})

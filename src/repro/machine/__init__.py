@@ -8,17 +8,10 @@ barrier at concurrent-loop exit.  This package models those components with
 cycle-level cost tables on top of :mod:`repro.sim`.
 """
 
-from repro.machine.costs import CostTables, MachineConfig
-from repro.machine.bus import ConcurrencyBus, SyncRegister, IterationDispatcher, LockUnit
-from repro.machine.machine import Machine, ComputationalElement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostTables",
-    "MachineConfig",
-    "ConcurrencyBus",
-    "SyncRegister",
-    "IterationDispatcher",
-    "LockUnit",
-    "Machine",
-    "ComputationalElement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".costs": ("CostTables", "MachineConfig"),
+    ".bus": ("ConcurrencyBus", "SyncRegister", "IterationDispatcher", "LockUnit"),
+    ".machine": ("Machine", "ComputationalElement"),
+})

@@ -7,49 +7,29 @@ those: per-CE waiting intervals and percentages (Table 3, Figure 4) and
 the parallelism-over-time profile (Figure 5).
 """
 
-from repro.metrics.intervals import Interval, StepFunction, merge_intervals, subtract_intervals
-from repro.metrics.waiting import (
-    WaitingInterval,
-    waiting_intervals,
-    waiting_by_thread,
-    waiting_percentages,
-    WaitingReport,
-)
-from repro.metrics.parallelism import (
-    activity_intervals,
-    parallelism_profile,
-    average_parallelism,
-    ParallelismProfile,
-)
-from repro.metrics.segments import (
-    IterationSegment,
-    LoopSchedule,
-    loop_schedules,
-    schedule_diff,
-    render_schedule,
-)
-from repro.metrics.phases import Phase, PhaseReport, phase_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interval",
-    "StepFunction",
-    "merge_intervals",
-    "subtract_intervals",
-    "WaitingInterval",
-    "waiting_intervals",
-    "waiting_by_thread",
-    "waiting_percentages",
-    "WaitingReport",
-    "activity_intervals",
-    "parallelism_profile",
-    "average_parallelism",
-    "ParallelismProfile",
-    "IterationSegment",
-    "LoopSchedule",
-    "loop_schedules",
-    "schedule_diff",
-    "render_schedule",
-    "Phase",
-    "PhaseReport",
-    "phase_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".intervals": ("Interval", "StepFunction", "merge_intervals", "subtract_intervals"),
+    ".waiting": (
+        "WaitingInterval",
+        "waiting_intervals",
+        "waiting_by_thread",
+        "waiting_percentages",
+        "WaitingReport",
+    ),
+    ".parallelism": (
+        "activity_intervals",
+        "parallelism_profile",
+        "average_parallelism",
+        "ParallelismProfile",
+    ),
+    ".segments": (
+        "IterationSegment",
+        "LoopSchedule",
+        "loop_schedules",
+        "schedule_diff",
+        "render_schedule",
+    ),
+    ".phases": ("Phase", "PhaseReport", "phase_report"),
+})

@@ -13,75 +13,43 @@ allocation, so committed benchmark numbers are unaffected.  Enable with
 ``repro-ppopp91 obs report|export|calibrate``.
 """
 
-from repro.obs.calibrate import ObsCalibration, calibrate
-from repro.obs.core import (
-    BUFFER_ENV,
-    DEFAULT_BUFFER,
-    DIR_ENV,
-    OBS_ENV,
-    ObsSnapshot,
-    SpanStats,
-    count,
-    disable,
-    enable,
-    enabled,
-    gauge,
-    reset,
-    shutdown,
-    snapshot,
-    span,
-    traced,
-)
-from repro.obs.export import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA,
-    RunExport,
-    bench_summary,
-    chrome_trace_document,
-    chrome_trace_events,
-    chrome_trace_from_jsonl,
-    env_fingerprint,
-    jsonl_lines,
-    latest_jsonl,
-    latest_manifest,
-    obs_dir,
-    render_manifest,
-    run_manifest,
-    write_run,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUFFER_ENV",
-    "DEFAULT_BUFFER",
-    "DIR_ENV",
-    "MANIFEST_KIND",
-    "MANIFEST_SCHEMA",
-    "OBS_ENV",
-    "ObsCalibration",
-    "ObsSnapshot",
-    "RunExport",
-    "SpanStats",
-    "bench_summary",
-    "calibrate",
-    "chrome_trace_document",
-    "chrome_trace_events",
-    "chrome_trace_from_jsonl",
-    "count",
-    "disable",
-    "enable",
-    "enabled",
-    "env_fingerprint",
-    "gauge",
-    "jsonl_lines",
-    "latest_jsonl",
-    "latest_manifest",
-    "obs_dir",
-    "render_manifest",
-    "reset",
-    "run_manifest",
-    "shutdown",
-    "snapshot",
-    "span",
-    "traced",
-    "write_run",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".calibrate": ("ObsCalibration", "calibrate"),
+    ".core": (
+        "BUFFER_ENV",
+        "DEFAULT_BUFFER",
+        "DIR_ENV",
+        "OBS_ENV",
+        "ObsSnapshot",
+        "SpanStats",
+        "count",
+        "disable",
+        "enable",
+        "enabled",
+        "gauge",
+        "reset",
+        "shutdown",
+        "snapshot",
+        "span",
+        "traced",
+    ),
+    ".export": (
+        "MANIFEST_KIND",
+        "MANIFEST_SCHEMA",
+        "RunExport",
+        "bench_summary",
+        "chrome_trace_document",
+        "chrome_trace_events",
+        "chrome_trace_from_jsonl",
+        "env_fingerprint",
+        "jsonl_lines",
+        "latest_jsonl",
+        "latest_manifest",
+        "obs_dir",
+        "render_manifest",
+        "run_manifest",
+        "write_run",
+    ),
+})

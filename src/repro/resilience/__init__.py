@@ -20,52 +20,33 @@ The analysis layer consumes these through its ``policy`` parameter
 :func:`repro.analysis.event_based_approximation`.
 """
 
-from repro.resilience.inject import (
-    ClockSkew,
-    CorruptFields,
-    DropEvents,
-    DuplicateEvents,
-    Fault,
-    ReorderEvents,
-    Truncate,
-    inject,
-)
-from repro.resilience.validate import (
-    Diagnostic,
-    Severity,
-    StreamingValidator,
-    error_count,
-    validate_file,
-    validate_trace,
-)
-from repro.resilience.repair import (
-    SYNTHESIZED_MARK,
-    RepairAction,
-    RepairReport,
-    RepairResult,
-    is_synthesized,
-    repair_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Fault",
-    "DropEvents",
-    "DuplicateEvents",
-    "ReorderEvents",
-    "ClockSkew",
-    "CorruptFields",
-    "Truncate",
-    "inject",
-    "Severity",
-    "Diagnostic",
-    "StreamingValidator",
-    "validate_trace",
-    "validate_file",
-    "error_count",
-    "RepairAction",
-    "RepairReport",
-    "RepairResult",
-    "SYNTHESIZED_MARK",
-    "is_synthesized",
-    "repair_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".inject": (
+        "Fault",
+        "DropEvents",
+        "DuplicateEvents",
+        "ReorderEvents",
+        "ClockSkew",
+        "CorruptFields",
+        "Truncate",
+        "inject",
+    ),
+    ".validate": (
+        "Severity",
+        "Diagnostic",
+        "StreamingValidator",
+        "validate_trace",
+        "validate_file",
+        "error_count",
+    ),
+    ".repair": (
+        "RepairAction",
+        "RepairReport",
+        "RepairResult",
+        "SYNTHESIZED_MARK",
+        "is_synthesized",
+        "repair_trace",
+    ),
+})

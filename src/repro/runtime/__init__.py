@@ -26,30 +26,18 @@ parallel, or cache replay) never changes a result — only how fast it
 arrives.
 """
 
-from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
-from repro.runtime.runner import (
-    RuntimeContext,
-    clear_memory_cache,
-    configure,
-    execute_spec,
-    get_context,
-    simulate,
-    simulate_many,
-)
-from repro.runtime.spec import ProgramSpec, RunSpec, spec_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "CacheStats",
-    "ProgramSpec",
-    "RunSpec",
-    "RuntimeContext",
-    "clear_memory_cache",
-    "configure",
-    "default_cache_dir",
-    "execute_spec",
-    "get_context",
-    "simulate",
-    "simulate_many",
-    "spec_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("ArtifactCache", "CacheStats", "default_cache_dir"),
+    ".runner": (
+        "RuntimeContext",
+        "clear_memory_cache",
+        "configure",
+        "execute_spec",
+        "get_context",
+        "simulate",
+        "simulate_many",
+    ),
+    ".spec": ("ProgramSpec", "RunSpec", "spec_key"),
+})

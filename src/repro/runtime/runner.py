@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.exec.executor import Executor
 from repro.exec.result import ExecutionResult
 from repro.logutil import get_logger
 from repro.obs import core as obs
@@ -117,6 +116,8 @@ def execute_spec(spec: RunSpec) -> ExecutionResult:
         mode=spec.program.mode,
         seed=spec.seed,
     ):
+        from repro.exec.executor import Executor  # the simulator: misses only
+
         program = spec.program.build()
         ex = Executor(
             machine_config=spec.machine,

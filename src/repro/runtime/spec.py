@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Optional
 
-from repro.exec.executor import PerturbationConfig
+from repro.exec.perturbation import PerturbationConfig
 from repro.instrument.costs import InstrumentationCosts
 from repro.instrument.plan import InstrumentationPlan
 from repro.ir.program import Loop, Program, Schedule

@@ -15,36 +15,21 @@ Determinism guarantees:
   are seeded explicitly.
 """
 
-from repro.sim.engine import (
-    Engine,
-    Process,
-    ProcessCrashed,
-    SimulationDeadlock,
-    SimulationError,
-    SimulationTimeout,
-    Timeout,
-    Signal,
-    AllOf,
-    Interrupt,
-)
-from repro.sim.primitives import Semaphore, Mutex, SimQueue, Barrier, Store
-from repro.sim.rng import SplitMix64
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Process",
-    "ProcessCrashed",
-    "SimulationDeadlock",
-    "SimulationError",
-    "SimulationTimeout",
-    "Timeout",
-    "Signal",
-    "AllOf",
-    "Interrupt",
-    "Semaphore",
-    "Mutex",
-    "SimQueue",
-    "Barrier",
-    "Store",
-    "SplitMix64",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": (
+        "Engine",
+        "Process",
+        "ProcessCrashed",
+        "SimulationDeadlock",
+        "SimulationError",
+        "SimulationTimeout",
+        "Timeout",
+        "Signal",
+        "AllOf",
+        "Interrupt",
+    ),
+    ".primitives": ("Semaphore", "Mutex", "SimQueue", "Barrier", "Store"),
+    ".rng": ("SplitMix64",),
+})

@@ -7,65 +7,34 @@ reflects the perturbed execution.  Perturbation analysis
 (:mod:`repro.analysis`) maps τ_m to an *approximated* trace τ_a.
 """
 
-from repro.trace.events import (
-    EventKind,
-    TraceEvent,
-    SYNC_KINDS,
-    KIND_LIST,
-    KIND_CODE,
-    is_sync_kind,
-    kind_from_value,
-)
-from repro.trace.trace import Trace, ThreadView, TraceError
-from repro.trace.columnar import NONE_SENTINEL, StringTable, TraceColumns
-from repro.trace.order import (
-    happened_before_pairs,
-    sync_partial_order,
-    verify_causality,
-    verify_feasible,
-    CausalityViolation,
-)
-from repro.trace.io import write_trace, read_trace
-from repro.trace.stream import (
-    ChunkReader,
-    stream_time_based,
-    stream_trace_stats,
-    stream_validate,
-)
-from repro.trace.slice import FileSliceResult, slice_file, slice_trace
-from repro.trace.query import Predicate, QueryError, QueryResult, parse_where, run_query
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FileSliceResult",
-    "slice_file",
-    "slice_trace",
-    "Predicate",
-    "QueryError",
-    "QueryResult",
-    "parse_where",
-    "run_query",
-    "ChunkReader",
-    "stream_time_based",
-    "stream_trace_stats",
-    "stream_validate",
-    "EventKind",
-    "TraceEvent",
-    "SYNC_KINDS",
-    "KIND_LIST",
-    "KIND_CODE",
-    "is_sync_kind",
-    "kind_from_value",
-    "NONE_SENTINEL",
-    "StringTable",
-    "TraceColumns",
-    "Trace",
-    "ThreadView",
-    "TraceError",
-    "happened_before_pairs",
-    "sync_partial_order",
-    "verify_causality",
-    "verify_feasible",
-    "CausalityViolation",
-    "write_trace",
-    "read_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".slice": ("FileSliceResult", "slice_file", "slice_trace"),
+    ".query": ("Predicate", "QueryError", "QueryResult", "parse_where", "run_query"),
+    ".stream": (
+        "ChunkReader",
+        "stream_time_based",
+        "stream_trace_stats",
+        "stream_validate",
+    ),
+    ".events": (
+        "EventKind",
+        "TraceEvent",
+        "SYNC_KINDS",
+        "KIND_LIST",
+        "KIND_CODE",
+        "is_sync_kind",
+        "kind_from_value",
+    ),
+    ".columnar": ("NONE_SENTINEL", "StringTable", "TraceColumns"),
+    ".trace": ("Trace", "ThreadView", "TraceError"),
+    ".order": (
+        "happened_before_pairs",
+        "sync_partial_order",
+        "verify_causality",
+        "verify_feasible",
+        "CausalityViolation",
+    ),
+    ".io": ("write_trace", "read_trace"),
+})

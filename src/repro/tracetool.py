@@ -37,30 +37,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis import event_based_approximation, time_based_approximation
 from repro.analysis.approximation import AnalysisError
-from repro.instrument import InstrumentationCosts, calibrate_analysis_constants
-from repro.machine.costs import FX80
-from repro.metrics import average_parallelism, waiting_percentages
-from repro.resilience.inject import (
-    ClockSkew,
-    CorruptFields,
-    DropEvents,
-    DuplicateEvents,
-    Fault,
-    ReorderEvents,
-    Truncate,
-    inject,
-)
-from repro.resilience.repair import repair_trace
-from repro.resilience.validate import Severity, validate_file
 from repro.trace.events import EventKind
 from repro.trace.io import read_trace, write_trace
-from repro.trace.order import CausalityViolation, verify_causality
 from repro.trace.stats import render_stats, trace_stats
 from repro.trace.trace import TraceError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.inject import Fault
+
+# Each subcommand imports the analysis, calibration, resilience and
+# metrics modules it needs itself, so inspecting a trace file never loads
+# the simulator.
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -437,6 +427,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from repro.resilience.validate import Severity, validate_file
+    from repro.trace.order import CausalityViolation, verify_causality
+
     packed = _packed_version(args.file)
     if packed == 3:
         # Chunked traces are validated one chunk at a time: the streaming
@@ -481,6 +474,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
+    from repro.resilience.repair import repair_trace
+
     trace = read_trace(args.file, tolerate_truncation=True)
     if trace.meta.get("truncated"):
         print("note: input was truncated; repairing the recovered prefix")
@@ -494,6 +489,15 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _build_faults(args: argparse.Namespace) -> list[Fault]:
+    from repro.resilience.inject import (
+        ClockSkew,
+        CorruptFields,
+        DropEvents,
+        DuplicateEvents,
+        ReorderEvents,
+        Truncate,
+    )
+
     faults: list[Fault] = []
     if args.drop_kinds:
         try:
@@ -524,6 +528,8 @@ def _build_faults(args: argparse.Namespace) -> list[Fault]:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
+    from repro.resilience.inject import inject
+
     trace = read_trace(args.file)
     faults = _build_faults(args)
     if not faults:
@@ -576,6 +582,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import event_based_approximation, time_based_approximation
+    from repro.instrument import InstrumentationCosts, calibrate_analysis_constants
+    from repro.machine.costs import FX80
+    from repro.metrics import average_parallelism, waiting_percentages
+    from repro.resilience.validate import Severity
+
     if args.method == "event":
         from repro.analysis.eventbased import BACKENDS as _event_backends
 

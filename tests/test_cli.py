@@ -97,6 +97,32 @@ def test_pipeline_flag_defaults():
     assert args.profile
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--trips", "0"],
+        ["table2", "--trips", "-5"],
+        ["audit", "--trips", "0"],
+        ["figure5", "--width", "0"],
+        ["figure5", "--width", "-4"],
+        ["figure5", "--width", "wide"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    """--trips/--width below 1 used to crash deep in the program (a
+    ProgramError or an empty max()); now argparse rejects them, exit 2."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+def test_width_one_and_trips_one_are_accepted():
+    assert parse(["figure5", "--width", "1", "--trips", "1"]).width == 1
+
+
 def test_cache_action_only_with_cache_command():
     assert parse(["cache"]).action is None
     assert parse(["cache", "stats"]).action == "stats"
